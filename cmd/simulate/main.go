@@ -13,7 +13,7 @@
 //	simulate -k 8 -rho 0.5,0.7 -mix threeclass,partialelastic -policy LFF,EQUI,EF
 //	simulate -k 4 -rho 0.9 -muI 1 -muE 1 -policy IF -cache sweep.jsonl -csv out.csv
 //	simulate -k 4 -rho 0.7,0.9 -mix threeclass -policy LFF,EQUI -tail -backend proc -procs 4
-//	simulate -k 16 -rho 0.98 -muI 1 -muE 1 -policy IF -engine incremental -jobs 2000000
+//	simulate -k 16 -rho 0.98 -muI 1 -muE 1 -policy IF -jobs 2000000
 //	simulate -k 4 -rho 0.9 -mix threeclass -policy LFF -quantiles 0.5,0.95,0.99,0.999
 //
 // -backend proc shards the (cell, replication) tasks across worker
@@ -21,10 +21,9 @@
 // submits them to a networked fabric dispatcher (cmd/fabricd) instead.
 // Results are bit-identical to the default goroutine pool either way.
 // -tail adds reservoir-sampled p99 response times, overall
-// and per class; -quantiles widens that to any quantile set. -engine
-// incremental opts into O(changed·log n) stepping for near-saturation
-// sweeps with many resident jobs (deterministic, own golden set; the
-// default rebuild engine stays bit-frozen). -cpuprofile/-memprofile/
+// and per class; -quantiles widens that to any quantile set. Stepping
+// costs O(changed·log n) per event, so near-saturation sweeps with many
+// resident jobs need no special flag. -cpuprofile/-memprofile/
 // -mutexprofile write go-tool-pprof-loadable profiles of the sweep
 // (profile.go), the same wiring `scripts/bench.sh profile` uses for the
 // benchmark hot path.
@@ -103,7 +102,6 @@ func main() {
 		dispatch = flag.String("dispatcher", "", "fabric dispatcher address (host:port) for -backend fabric")
 		tail     = flag.Bool("tail", false, "also report p99 response times, overall and per class")
 		quants   = flag.String("quantiles", "", "tail quantiles in (0,1), e.g. 0.5,0.95,0.99,0.999 (implies -tail)")
-		engine   = flag.String("engine", "rebuild", "stepping engine: rebuild (default, bit-frozen goldens) or incremental (O(changed·log n) per event for high-occupancy sweeps)")
 		cache    = flag.String("cache", "", "JSONL result cache; completed cells are reused across runs")
 		csvPath  = flag.String("csv", "", "also write the result table as CSV to this file")
 		jsonPath = flag.String("json", "", "also write the full result set (per-replication detail) as JSON to this file")
@@ -150,7 +148,6 @@ func main() {
 		Batches:       *batches,
 		Tail:          *tail,
 		TailQuantiles: tailQuantiles,
-		Engine:        *engine,
 	}
 	if len(sweep.Grid.Scenarios) > 0 && len(sweep.Grid.Mixes) > 0 {
 		log.Fatal("-scenario and -mix are mutually exclusive")

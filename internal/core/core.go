@@ -171,9 +171,6 @@ type SimOptions struct {
 	Seed       uint64
 	WarmupJobs int64
 	MaxJobs    int64
-	// Engine selects the sim stepping engine; the zero value is the
-	// default rebuild engine.
-	Engine sim.Engine
 }
 
 // DefaultSimOptions is sized so that mean response times resolve to about
@@ -190,7 +187,6 @@ func (s System) Simulate(p sim.Policy, opt SimOptions) sim.Result {
 		Source:     s.Model().Source(opt.Seed),
 		WarmupJobs: opt.WarmupJobs,
 		MaxJobs:    opt.MaxJobs,
-		Engine:     opt.Engine,
 	})
 }
 

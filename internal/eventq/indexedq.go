@@ -1,6 +1,6 @@
 package eventq
 
-// IndexedQueue is the incremental engine's future-event list: a binary
+// IndexedQueue is the simulator's future-event list: a binary
 // min-heap over (time, seq) exactly like Queue, but keyed by small integer
 // handles with a dense position index, so a superseded event is rescheduled
 // in place instead of being abandoned as a stale entry. Where the lazy

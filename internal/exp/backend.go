@@ -136,8 +136,9 @@ func (t Task) Label() string {
 // so every kind is cacheable. Sim tasks key as the cell's config hash
 // (Sweep.Key, which covers every parameter that determines the numbers)
 // plus the replication index, the exact format the fabric dispatcher has
-// always used; the other kinds key as their kind name plus the spec's
-// canonical JSON (struct field order is fixed, so the encoding is stable).
+// always used; the other kinds key as the results version, their kind name
+// and the spec's canonical JSON (struct field order is fixed, so the
+// encoding is stable).
 // A task with no identity (an empty task, or a Sim spec submitted without
 // its precomputed Key) reports false and is never cached.
 func TaskKey(t Task) (string, bool) {
@@ -164,7 +165,7 @@ func specKey(kind string, spec any) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	return kind + "|" + string(b), true
+	return resultsVersion + "|" + kind + "|" + string(b), true
 }
 
 // Outcome is the result of one Task; the field matching the task kind is

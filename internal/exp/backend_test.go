@@ -11,7 +11,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -37,18 +39,18 @@ func TestKeyAndRepSeedPinned(t *testing.T) {
 	}{
 		{
 			Cell{K: 4, Rho: 0.7, MuI: 2, MuE: 1, Policy: "IF"},
-			"exp1|k=4 rho=0.7 muI=2 muE=1 policy=IF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
-			"0d5dd4442fb4fa81", 2917704610814949436, 5240475585674092860,
+			"exp2|k=4 rho=0.7 muI=2 muE=1 policy=IF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
+			"8366008bb4d3084c", 2917704610814949436, 5240475585674092860,
 		},
 		{
 			Cell{K: 8, Rho: 0.9, Scenario: "mapreduce", Policy: "EF"},
-			"exp1|scenario=mapreduce k=8 rho=0.9 policy=EF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
-			"f737267f7af5dacf", 7263033840379087353, 4116425416877151070,
+			"exp2|scenario=mapreduce k=8 rho=0.9 policy=EF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
+			"52b58cdc4c336a68", 7263033840379087353, 4116425416877151070,
 		},
 		{
 			Cell{K: 8, Rho: 0.5, Mix: "threeclass", Policy: "LFF"},
-			"exp1|mix=threeclass k=8 rho=0.5 policy=LFF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
-			"7a6563300a728456", 13083668052069352814, 2653965135885897409,
+			"exp2|mix=threeclass k=8 rho=0.5 policy=LFF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
+			"bfa31b31638621eb", 13083668052069352814, 2653965135885897409,
 		},
 	}
 	for _, tc := range cases {
@@ -92,24 +94,74 @@ func TestKeyAndRepSeedPinned(t *testing.T) {
 	if got, want := tailed.keyString(cases[0].cell), cases[0].keyString+"|tail=1"; got != want {
 		t.Errorf("Tail keyString = %q, want %q", got, want)
 	}
-	// Same rule for the quantile set (appended after the tail component)
-	// and the stepping engine: only the non-default spellings are keyed.
+	// Same rule for the quantile set (appended after the tail component).
 	quantiled := tailed
 	quantiled.TailQuantiles = []float64{0.5, 0.95, 0.999}
 	if got, want := quantiled.keyString(cases[0].cell), cases[0].keyString+"|tail=1|tailq=0.5,0.95,0.999"; got != want {
 		t.Errorf("TailQuantiles keyString = %q, want %q", got, want)
 	}
-	for _, spelling := range []string{"", "rebuild"} {
-		def := sw
-		def.Engine = spelling
-		if got := def.keyString(cases[0].cell); got != cases[0].keyString {
-			t.Errorf("Engine=%q keyString = %q, want the unchanged %q", spelling, got, cases[0].keyString)
-		}
+}
+
+// TestOldResultsVersionMisses: a cache written under the exp1 results
+// version — cell results and task outcomes, keyed as the retired rebuild
+// engine's code keyed them — must serve none of its entries to this code.
+// Their numbers differ from a fresh run's (by ~1e-14 relative, but not
+// byte-identical), so a hit would pass old results off as current ones.
+func TestOldResultsVersionMisses(t *testing.T) {
+	sw := Sweep{Name: "pin", Reps: 2, BaseSeed: 7, Warmup: 100, Jobs: 1000}
+	c := Cell{K: 4, Rho: 0.7, MuI: 2, MuE: 1, Policy: "IF"}
+	dom := &DominanceTrace{K: 2, Rho: 0.5, MuI: 1, MuE: 1, PolicyA: "IF", PolicyB: "EF", Arrivals: 10, Tol: 1e-7, Seed: 1}
+	domJSON, err := json.Marshal(dom)
+	if err != nil {
+		t.Fatal(err)
 	}
-	inc := sw
-	inc.Engine = "incremental"
-	if got, want := inc.keyString(cases[0].cell), cases[0].keyString+"|engine=incremental"; got != want {
-		t.Errorf("incremental keyString = %q, want %q", got, want)
+	// The exp1 derivations of the same identities.
+	const exp1CellKey = "0d5dd4442fb4fa81"
+	if got := fmt.Sprintf("%016x", fnvHash("exp1|k=4 rho=0.7 muI=2 muE=1 policy=IF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0")); got != exp1CellKey {
+		t.Fatalf("exp1 cell key = %s, want %s", got, exp1CellKey)
+	}
+	exp1SimKey := exp1CellKey + "|rep=0"
+	exp1DomKey := "dominance|" + string(domJSON)
+
+	path := filepath.Join(t.TempDir(), "exp1.jsonl")
+	old, err := OpenFileCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Put(exp1CellKey, CellResult{Cell: c, ET: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.PutOutcome(exp1SimKey, Outcome{Rep: &Replication{Rep: 0, MeanT: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.PutOutcome(exp1DomKey, Outcome{Dominance: &DominanceRun{}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fc, err := OpenFileCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	if fc.Len() != 1 || fc.OutcomeLen() != 2 {
+		t.Fatalf("exp1 cache loaded %d cells, %d outcomes; want 1, 2", fc.Len(), fc.OutcomeLen())
+	}
+	if _, ok := fc.Get(sw.Key(c)); ok {
+		t.Error("cell result cached under exp1 served as current")
+	}
+	simKey, _ := TaskKey(Task{Sim: &TaskSpec{Cell: c, Rep: 0, Seed: sw.RepSeed(c, 0), Key: sw.Key(c)}})
+	if _, ok := fc.GetOutcome(simKey); ok {
+		t.Error("sim outcome cached under exp1 served as current")
+	}
+	domKey, _ := TaskKey(Task{Dominance: dom})
+	if _, ok := fc.GetOutcome(domKey); ok {
+		t.Error("dominance outcome cached under exp1 served as current")
+	}
+	if !strings.HasPrefix(domKey, resultsVersion+"|dominance|") {
+		t.Errorf("dominance TaskKey %q lacks the results version", domKey)
 	}
 }
 

@@ -1,16 +1,21 @@
 package exp
 
-// Sweep-level coverage for the stepping-engine knob and the configurable
+// Sweep-level coverage for the stepping engine and the configurable
 // tail-quantile set. TestEngineSweepEquivalence is the engine-equivalence
-// CI gate (scripts/ci.sh): a small sweep run under both engines must agree
-// on every count exactly and on every statistic to 1e-9 relative — the
-// engines round floating point differently by construction (each is
-// individually bit-frozen by its own golden set in internal/sim), so the
-// gate pins agreement, not byte identity.
+// CI gate (scripts/ci.sh): the engine must reproduce, on every count
+// exactly and on every statistic to 1e-9 relative, the ResultSets the
+// retired rebuild engine produced for the same sweeps. The two round
+// floating point differently by construction (the rebuild engine survives
+// as the bit-frozen test reference in internal/sim), so the gate pins
+// agreement, not byte identity.
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -77,50 +82,45 @@ func diffResultSets(t *testing.T, aName, bName string, ra, rb *ResultSet) {
 	}
 }
 
-// TestEngineSweepEquivalence runs the gate sweep under both engines and
-// diffs the ResultSets: identical completion counts, statistics within
-// 1e-9. A second leg covers a class-mix grid so capped and partially
-// elastic classes cross the gate too, and a third leg re-runs the
-// incremental sweep with SIM_FORCE_DENSE set — the sparse fast paths
-// (EQUI's class shares, SRPT's indexed heap, the write-set protocol) must
-// be invisible at sweep level compared to the dense fallback.
+// rebuildSweepsGolden holds the ResultSets of the rebuild stepping engine
+// for the two gate grids of TestEngineSweepEquivalence, written by that
+// engine before its retirement. It cannot be regenerated: the rebuild loop
+// now lives only in internal/sim's tests, out of the sweep layer's reach.
+const rebuildSweepsGolden = "rebuild_engine_sweeps.json"
+
+// TestEngineSweepEquivalence runs the gate sweep and a class-mix grid (so
+// capped and partially elastic classes cross the gate too) and diffs each
+// ResultSet against the rebuild engine's: identical completion counts and
+// seeds, statistics within 1e-9. The grids cover every fast path — EQUI's
+// class shares, SRPT's indexed heap and the write-set protocol.
 func TestEngineSweepEquivalence(t *testing.T) {
 	grids := []Grid{
 		engineGateSweep().Grid,
 		{K: []int{4}, Rho: []float64{0.7}, Mixes: []string{"threeclass", "partialelastic", "cappedladder"},
 			Policies: []string{"LFF", "EQUI", "SRPT"}},
 	}
-	for _, grid := range grids {
+	data, err := os.ReadFile(filepath.Join("testdata", rebuildSweepsGolden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []*ResultSet
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(grids) {
+		t.Fatalf("%s holds %d ResultSets, want %d", rebuildSweepsGolden, len(want), len(grids))
+	}
+	for i, grid := range grids {
 		sw := engineGateSweep()
 		sw.Grid = grid
-		inc := sw
-		inc.Engine = "incremental"
-		rsReb, err := Run(context.Background(), sw, Options{})
+		if !reflect.DeepEqual(want[i].Sweep, sw) {
+			t.Fatalf("%s set %d was run for sweep %+v, want %+v", rebuildSweepsGolden, i, want[i].Sweep, sw)
+		}
+		got, err := Run(context.Background(), sw, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rsInc, err := Run(context.Background(), inc, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffResultSets(t, "rebuild", "incremental", rsReb, rsInc)
-		t.Setenv("SIM_FORCE_DENSE", "1")
-		rsDense, err := Run(context.Background(), inc, Options{})
-		t.Setenv("SIM_FORCE_DENSE", "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffResultSets(t, "incremental", "incremental/dense", rsInc, rsDense)
-	}
-}
-
-// TestEngineValidation rejects unknown engine spellings at sweep
-// validation time, not inside a worker.
-func TestEngineValidation(t *testing.T) {
-	sw := engineGateSweep()
-	sw.Engine = "warpdrive"
-	if _, err := Run(context.Background(), sw, Options{}); err == nil || !strings.Contains(err.Error(), "warpdrive") {
-		t.Fatalf("bad engine not rejected: %v", err)
+		diffResultSets(t, "rebuild", "engine", want[i], got)
 	}
 }
 

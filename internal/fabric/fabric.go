@@ -208,8 +208,9 @@ func EnvProbe() string {
 
 // taskCacheKey derives the dispatcher-cache key of a task, delegating to
 // exp.TaskKey — the same derivation the submitting-process OutcomeCache
-// uses. Sim tasks keep the dispatcher's historical key format (the cell's
-// config hash plus the replication index), so caches filled by older
-// dispatchers stay valid; analysis points, validation rows, ablations and
-// dominance traces are deterministic given their specs and now cache too.
+// uses: sim tasks key as the cell's config hash plus the replication
+// index; analysis points, validation rows, ablations and dominance traces
+// are deterministic given their specs and key by them. Every key carries
+// exp's results version, so entries cached by a binary that computes
+// different numbers miss rather than serve.
 func taskCacheKey(t exp.Task) (string, bool) { return exp.TaskKey(t) }

@@ -29,15 +29,16 @@
 // Policies whose served set is small regardless of occupancy — the strict
 // class-priority family, FCFS, THRESH, GREEDY and DEFER — additionally
 // implement sim.SparsePolicy: AllocateSparse reports the same decision as
-// Allocate as an explicit write-set, which is what lets the incremental
-// engine step in O(changed · log n). EQUI's equal split touches every job,
+// Allocate as an explicit write-set, which is what lets the engine step
+// in O(changed · log n). EQUI's equal split touches every job,
 // so it implements sim.ClassSharePolicy instead: ClassShares reports the
 // water-filled per-class share vector and the engine tracks whole classes
 // on virtual-time coordinates. SRPT-k must read settled remaining sizes, so
 // it is marked sim.RemainingOrderedPolicy and the engine executes its rule
-// natively on an indexed heap. The cross-engine equivalence suite in
-// internal/sim holds every policy's faces together, and the dense faces
-// stay reachable forever through sim.Options.ForceDense / SIM_FORCE_DENSE.
+// natively on an indexed heap. The engine equivalence suite in
+// internal/sim holds every policy's faces together: it diffs the fast face
+// and the dense face (reached by hiding the facets behind a
+// struct{ sim.Policy } wrapper) against the rebuild reference engine.
 package policy
 
 import (
@@ -50,8 +51,8 @@ import (
 
 // Compile-time checks: every member of the sparse family keeps both faces.
 // EQUI's fast face is the class-share vector and SRPT-k's is the
-// remaining-order marker (see the package comment); their dense faces stay
-// reachable through sim.Options.ForceDense.
+// remaining-order marker (see the package comment); their dense faces run
+// whenever the facet is hidden, and in the rebuild reference engine.
 var (
 	_ sim.SparsePolicy           = InelasticFirst{}
 	_ sim.SparsePolicy           = ElasticFirst{}
@@ -863,6 +864,6 @@ func (p *SRPTK) Allocate(st *sim.State, alloc *sim.Allocation) {
 // RemainingOrdered implements sim.RemainingOrderedPolicy: Allocate above is
 // exactly the ascending-remaining walk (the stable insertion sort over
 // class-then-FCFS enumeration breaks ties by lower class, then lower ID)
-// handing each job min(cap, leftover), so the incremental engine may
+// handing each job min(cap, leftover), so the engine may
 // execute the rule natively on its indexed heap.
 func (*SRPTK) RemainingOrdered() {}

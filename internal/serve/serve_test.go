@@ -403,6 +403,26 @@ func TestAdmission(t *testing.T) {
 	}
 }
 
+// TestRemovedEngineFieldRejected pins the fate of the spec's retired
+// "engine" field: there is one stepping engine, so a spec still choosing
+// one gets a 400 naming the field rather than results from an engine it
+// did not ask for.
+func TestRemovedEngineFieldRejected(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	spec := specJSON(t, testSweep(1, 1))
+	for _, engine := range []string{"rebuild", "incremental"} {
+		body := append(bytes.TrimSuffix(spec, []byte("}")), []byte(`,"engine":"`+engine+`"}`)...)
+		rr := post(s, "/v1/sweep", body)
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), `"engine"`) {
+			t.Fatalf("engine %q: status %d body %q, want 400 naming the field", engine, rr.Code, rr.Body)
+		}
+	}
+	if rr := post(s, "/v1/sweep", spec); rr.Code != http.StatusOK {
+		t.Fatalf("same spec without the field: status %d, want 200", rr.Code)
+	}
+}
+
 // TestBoundedUnderDistinctLoad pins the always-on guarantee: sustained
 // distinct-spec traffic must not grow server memory without bound — the
 // response cache evicts at its cap and the flights table drains to empty.

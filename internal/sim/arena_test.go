@@ -71,7 +71,7 @@ func TestArenaRecycleLIFO(t *testing.T) {
 
 // arenaIFPolicy is a minimal inelastic-first clone: classes in index order,
 // each job min(cap, remaining budget). Both faces make the same decision,
-// so the incremental engine engages its sparse write-set path exactly as it
+// so the engine engages its sparse write-set path exactly as it
 // does for the real class-priority family.
 type arenaIFPolicy struct{}
 
@@ -166,7 +166,7 @@ func checkNoAlias(t *testing.T, sys *System) {
 		free[h] = true
 	}
 	for h := range free {
-		if sys.ievq.Contains(h) {
+		if sys.evq.Contains(h) {
 			t.Fatalf("free handle %d still has a scheduled event", h)
 		}
 	}
@@ -200,7 +200,7 @@ func checkNoAlias(t *testing.T, sys *System) {
 	}
 }
 
-// TestArenaRecycleNoAlias churns the incremental engine — thousands of
+// TestArenaRecycleNoAlias churns the engine — thousands of
 // completions recycling slots into new arrivals — and checks after every
 // step that freed handles have vanished from every hot structure, on both
 // the sparse write-set path and the class-share path.
@@ -213,7 +213,7 @@ func TestArenaRecycleNoAlias(t *testing.T) {
 		{"classshare", arenaEquiPolicy{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys := NewClassSystemOpts(3, TwoClassSpecs(), tc.pol, Options{Engine: EngineIncremental})
+			sys := NewClassSystem(3, TwoClassSpecs(), tc.pol)
 			if tc.name == "sparse" && sys.sparse == nil {
 				t.Fatal("sparse fast path did not engage")
 			}

@@ -1,6 +1,6 @@
 package sim
 
-// The class-share fast path of the incremental engine: EQUI-style policies
+// The class-share fast path of the stepping engine: EQUI-style policies
 // whose allocation is uniform within every class cannot use the ShareSet
 // write-set protocol — every resident job holds a share, so an honest
 // write-set is O(n) per event. But uniformity is itself the exploitable
@@ -292,8 +292,8 @@ func (cs *classShareState) peekNext(s *System) (*Job, float64) {
 // share vector could complete it at the current instant (vtarget already
 // reached, or near enough that clock + remaining/rate could round to
 // clock): then the refresh must run now so the completion lands inside the
-// current AdvanceTo, exactly as the eager engine and the rebuild engine
-// would have it.
+// current AdvanceTo, exactly as an eager refresh (and the rebuild
+// reference engine) would have it.
 func (cs *classShareState) deferSafe(s *System) bool {
 	ulp := math.Nextafter(s.clock, math.Inf(1)) - s.clock
 	for c := range cs.vq {
@@ -391,7 +391,7 @@ func (cs *classShareState) refresh(s *System) {
 }
 
 // complete finishes head job j: pop it, settle its floating-point residual
-// into Remaining (completeInc folds it out of the work aggregate), and
+// into Remaining (completeJob folds it out of the work aggregate), and
 // shrink the class aggregates by one job's worth.
 func (cs *classShareState) complete(s *System, j *Job) {
 	c := j.Class

@@ -1,14 +1,15 @@
 package sim_test
 
-// Cross-engine equivalence suite: the rebuild and incremental engines must
-// make identical scheduling decisions on identical traces. Completion
-// sequences (job IDs and classes, in completion order) are diffed exactly;
-// completion times and aggregate statistics are compared to 1e-9 relative —
-// the engines round differently by construction (the rebuild engine
-// re-derives every completion time at every event; the incremental engine
-// anchors it at the last rate change), so bit-equality across engines is
-// not attainable without re-introducing the O(n) scan. Each engine is
-// individually bit-frozen by its own golden set.
+// Engine equivalence suite: the production engine (sim.System) must make
+// the same scheduling decisions as the rebuild reference engine
+// (sim.RefSystem, reference_test.go) on identical traces, on every fast
+// path and on the dense fallback. Completion sequences (job IDs and
+// classes, in completion order) are diffed exactly; completion times and
+// aggregate statistics are compared to 1e-9 relative — the engines round
+// differently by construction (the reference re-derives every completion
+// time at every event; the production engine anchors it at the last rate
+// change), so bit-equality is not attainable without re-introducing the
+// O(n) scan. Each engine is individually bit-frozen by its own golden set.
 
 import (
 	"fmt"
@@ -97,15 +98,22 @@ func equivPolicies(t testing.TB, classes []sim.ClassSpec) []string {
 	return out
 }
 
-// engineTrace drives one engine configuration over a fixed trace and drains
-// it, returning the completion sequence and the system for metric checks.
-func engineTrace(t testing.TB, opts sim.Options, k int, classes []sim.ClassSpec, polName string, trace []sim.Arrival) ([]sim.Completion, *sim.System) {
+// newDenseSystem builds a production system over the facet-hiding wrapper
+// struct{ sim.Policy }: only Name and Allocate are visible, so the engine
+// runs the policy on its dense fallback whatever facets it implements.
+func newDenseSystem(k int, classes []sim.ClassSpec, pol sim.Policy) stepper {
+	return sim.NewClassSystem(k, classes, struct{ sim.Policy }{pol})
+}
+
+// engineTrace drives one engine over a fixed trace and drains it, returning
+// the completion sequence and the system for metric checks.
+func engineTrace(t testing.TB, mk newStepper, k int, classes []sim.ClassSpec, polName string, trace []sim.Arrival) ([]sim.Completion, stepper) {
 	t.Helper()
 	pol, err := core.PolicyByName(polName, 1.5, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := sim.NewClassSystemOpts(k, classes, pol, opts)
+	sys := mk(k, classes, pol)
 	var out []sim.Completion
 	for _, a := range trace {
 		out = append(out, sys.AdvanceTo(a.Time)...)
@@ -118,7 +126,7 @@ func engineTrace(t testing.TB, opts sim.Options, k int, classes []sim.ClassSpec,
 // diffTraces reports the first divergence between two engine runs:
 // completion ID/class sequences exact, times and aggregate statistics to
 // equivTol relative.
-func diffTraces(aName string, a []sim.Completion, aSys *sim.System, bName string, b []sim.Completion, bSys *sim.System, k int) error {
+func diffTraces(aName string, a []sim.Completion, aSys stepper, bName string, b []sim.Completion, bSys stepper, k int) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("completion count: %s %d, %s %d", aName, len(a), bName, len(b))
 	}
@@ -150,22 +158,21 @@ func diffTraces(aName string, a []sim.Completion, aSys *sim.System, bName string
 	return nil
 }
 
-// diffEngines runs three engine configurations on one trace and reports the
-// first divergence, if any: the rebuild engine, the incremental engine on
-// its structure-specific fast paths (sparse write-sets, EQUI's class
-// shares, SRPT's indexed heap), and the incremental engine pinned to its
-// dense fallback via Options.ForceDense. The third run is the differential
-// oracle of the sparse paths: every fast path must reproduce the dense
-// fallback's decisions exactly, not just the rebuild engine's.
+// diffEngines runs the rebuild reference and two production configurations
+// on one trace and reports the first divergence, if any: the production
+// engine on the policy's structure-specific fast path (sparse write-sets,
+// EQUI's class shares, SRPT's indexed heap), and the production engine on
+// its dense fallback, reached by hiding the policy's facets. Both are
+// diffed against the reference.
 func diffEngines(t testing.TB, k int, classes []sim.ClassSpec, polName string, trace []sim.Arrival) error {
 	t.Helper()
-	reb, rebSys := engineTrace(t, sim.Options{Engine: sim.EngineRebuild}, k, classes, polName, trace)
-	inc, incSys := engineTrace(t, sim.Options{Engine: sim.EngineIncremental}, k, classes, polName, trace)
-	if err := diffTraces("rebuild", reb, rebSys, "incremental", inc, incSys, k); err != nil {
+	ref, refSys := engineTrace(t, newRefSystem, k, classes, polName, trace)
+	inc, incSys := engineTrace(t, newSystem, k, classes, polName, trace)
+	if err := diffTraces("reference", ref, refSys, "engine", inc, incSys, k); err != nil {
 		return err
 	}
-	dense, denseSys := engineTrace(t, sim.Options{Engine: sim.EngineIncremental, ForceDense: true}, k, classes, polName, trace)
-	return diffTraces("incremental", inc, incSys, "incremental/dense", dense, denseSys, k)
+	dense, denseSys := engineTrace(t, newDenseSystem, k, classes, polName, trace)
+	return diffTraces("reference", ref, refSys, "engine/dense", dense, denseSys, k)
 }
 
 // TestEngineEquivalenceMatrix is the acceptance matrix: every preset
@@ -183,9 +190,9 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceQuick is the testing/quick harness of the satellite:
-// random (seed, k, rho, preset, policy) configurations drive random
-// arrival/size streams through both engines; any divergence in the
+// TestEngineEquivalenceQuick is the testing/quick harness: random (seed, k,
+// rho, preset, policy) configurations drive random arrival/size streams
+// through every engine configuration of diffEngines; any divergence in the
 // completion sequence fails. The rand source is fixed so the run is
 // reproducible.
 func TestEngineEquivalenceQuick(t *testing.T) {
@@ -211,10 +218,10 @@ func TestEngineEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocsIncremental pins the incremental engine's hot path
-// at <= 1 heap allocation per event — same gate as the rebuild engine
-// (alloc_test.go), covering the sparse write-set protocol (IF, EF, LFF,
-// FCFS), EQUI's class-share path and SRPT's indexed-heap path.
+// TestSteadyStateAllocsIncremental pins the engine's hot path at <= 1 heap
+// allocation per event on each fast path — the sparse write-set protocol
+// (IF, EF, LFF, FCFS), EQUI's class-share path and SRPT's indexed-heap
+// path — and at held occupancy on the job arena.
 func TestSteadyStateAllocsIncremental(t *testing.T) {
 	measure := func(t *testing.T, sys *sim.System, src sim.ArrivalSource) float64 {
 		t.Helper()
@@ -245,7 +252,7 @@ func TestSteadyStateAllocsIncremental(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			model := workload.ModelForLoad(4, 0.8, 1.5, 1.0)
-			sys := sim.NewClassSystemOpts(model.K, sim.TwoClassSpecs(), tc.pol, sim.Options{Engine: sim.EngineIncremental})
+			sys := sim.NewClassSystem(model.K, sim.TwoClassSpecs(), tc.pol)
 			if got := measure(t, sys, model.Source(3)); got > 1 {
 				t.Fatalf("incremental steady-state stepping allocates %.3f/event under %s, want <= 1", got, tc.pol.Name())
 			}
@@ -253,7 +260,7 @@ func TestSteadyStateAllocsIncremental(t *testing.T) {
 	}
 	t.Run("LFF-mix", func(t *testing.T) {
 		mix := workload.ThreeClassCaps(8, 0.7)
-		sys := sim.NewClassSystemOpts(8, mix.Classes, &policy.LeastFlexibleFirst{}, sim.Options{Engine: sim.EngineIncremental})
+		sys := sim.NewClassSystem(8, mix.Classes, &policy.LeastFlexibleFirst{})
 		if got := measure(t, sys, mix.Source(3)); got > 1 {
 			t.Fatalf("incremental multi-class stepping allocates %.3f/event, want <= 1", got)
 		}
@@ -274,7 +281,7 @@ func TestSteadyStateAllocsIncremental(t *testing.T) {
 			{"SRPT", &policy.SRPTK{}},
 		} {
 			t.Run(fmt.Sprintf("arena-n%d-%s", n, tc.name), func(t *testing.T) {
-				sys := sim.NewClassSystemOpts(4, sim.TwoClassSpecs(), tc.pol, sim.Options{Engine: sim.EngineIncremental})
+				sys := sim.NewClassSystem(4, sim.TwoClassSpecs(), tc.pol)
 				rng := xrand.NewStream(7, 1)
 				for i := 0; i < n; i++ {
 					sys.Arrive(sim.Arrival{Time: 0, Class: sim.Inelastic, Size: rng.Exp(1)})
@@ -300,7 +307,7 @@ func TestSteadyStateAllocsIncremental(t *testing.T) {
 	}
 }
 
-// TestSteadyStateBytesIncremental pins the incremental engine's steady-state
+// TestSteadyStateBytesIncremental pins the engine's steady-state
 // byte rate, not just its allocation count: TestSteadyStateAllocsIncremental
 // would not notice a single allocation silently growing from 4 bytes to 4
 // kilobytes. The bound is deliberately loose (64 B/event, versus ~4 B/event
@@ -319,7 +326,7 @@ func TestSteadyStateBytesIncremental(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			model := workload.ModelForLoad(4, 0.8, 1.5, 1.0)
-			sys := sim.NewClassSystemOpts(model.K, sim.TwoClassSpecs(), tc.pol, sim.Options{Engine: sim.EngineIncremental})
+			sys := sim.NewClassSystem(model.K, sim.TwoClassSpecs(), tc.pol)
 			src := model.Source(3)
 			step := func() {
 				a, _ := src.Next()
@@ -361,7 +368,7 @@ func TestSteadyStateBytesIncremental(t *testing.T) {
 			{"EQUI", policy.Equi{}, 320},
 		} {
 			t.Run(fmt.Sprintf("arena-n%d-%s", n, tc.name), func(t *testing.T) {
-				sys := sim.NewClassSystemOpts(4, sim.TwoClassSpecs(), tc.pol, sim.Options{Engine: sim.EngineIncremental})
+				sys := sim.NewClassSystem(4, sim.TwoClassSpecs(), tc.pol)
 				rng := xrand.NewStream(7, 1)
 				for i := 0; i < n; i++ {
 					sys.Arrive(sim.Arrival{Time: 0, Class: sim.Inelastic, Size: rng.Exp(1)})
@@ -394,11 +401,12 @@ func TestSteadyStateBytesIncremental(t *testing.T) {
 // benchOccupancy measures one engine's per-event cost with the occupancy
 // held at exactly n: the system is preloaded with n inelastic jobs on k=4
 // servers, then every iteration completes one job and admits a replacement
-// at the completion instant. Under the rebuild engine each event rebuilds
-// the n-entry future-event list and depletes all n jobs (O(n)); under the
-// incremental engine only the changed jobs settle (O(changed · log n)).
-func benchOccupancy(b *testing.B, n int, pol sim.Policy, engine sim.Engine) {
-	sys := sim.NewClassSystemOpts(4, sim.TwoClassSpecs(), pol, sim.Options{Engine: engine})
+// at the completion instant. Under the rebuild reference each event
+// rebuilds the n-entry future-event list and depletes all n jobs (O(n));
+// under the production engine only the changed jobs settle
+// (O(changed · log n)).
+func benchOccupancy(b *testing.B, n int, pol sim.Policy, mk newStepper) {
+	sys := mk(4, sim.TwoClassSpecs(), pol)
 	rng := xrand.NewStream(7, 1)
 	for i := 0; i < n; i++ {
 		sys.Arrive(sim.Arrival{Time: 0, Class: sim.Inelastic, Size: rng.Exp(1)})
@@ -422,26 +430,28 @@ func benchOccupancy(b *testing.B, n int, pol sim.Policy, engine sim.Engine) {
 }
 
 // benchEngines runs the occupancy benchmark for both engines under IF (the
-// historical series — the bare rebuild/incremental names must keep their
-// meaning so BENCH_engine.json stays comparable across entries) and under
-// the two policies with structure-specific fast paths: EQUI (class-share
-// water-filling) and SRPT (indexed heap). The EQUI and SRPT rebuild
-// variants price what the fast paths replace — under SRPT the rebuild
-// engine re-sorts all n jobs every event, so expect O(n^2)-ish ns/op.
+// historical series) and under the two policies with structure-specific
+// fast paths: EQUI (class-share water-filling) and SRPT (indexed heap).
+// The leg names predate the single production engine and are kept so
+// BENCH_engine.json stays comparable across entries: "rebuild*" legs run
+// the rebuild reference (sim.RefSystem), "incremental*" legs the
+// production engine (sim.System). The EQUI and SRPT reference legs price
+// what the fast paths replace — under SRPT the reference re-sorts all n
+// jobs every event, so expect O(n^2)-ish ns/op.
 func benchEngines(b *testing.B, n int) {
-	b.Run("rebuild", func(b *testing.B) { benchOccupancy(b, n, policy.InelasticFirst{}, sim.EngineRebuild) })
-	b.Run("incremental", func(b *testing.B) { benchOccupancy(b, n, policy.InelasticFirst{}, sim.EngineIncremental) })
-	b.Run("rebuild-EQUI", func(b *testing.B) { benchOccupancy(b, n, policy.Equi{}, sim.EngineRebuild) })
-	b.Run("incremental-EQUI", func(b *testing.B) { benchOccupancy(b, n, policy.Equi{}, sim.EngineIncremental) })
-	b.Run("rebuild-SRPT", func(b *testing.B) { benchOccupancy(b, n, &policy.SRPTK{}, sim.EngineRebuild) })
-	b.Run("incremental-SRPT", func(b *testing.B) { benchOccupancy(b, n, &policy.SRPTK{}, sim.EngineIncremental) })
+	b.Run("rebuild", func(b *testing.B) { benchOccupancy(b, n, policy.InelasticFirst{}, newRefSystem) })
+	b.Run("incremental", func(b *testing.B) { benchOccupancy(b, n, policy.InelasticFirst{}, newSystem) })
+	b.Run("rebuild-EQUI", func(b *testing.B) { benchOccupancy(b, n, policy.Equi{}, newRefSystem) })
+	b.Run("incremental-EQUI", func(b *testing.B) { benchOccupancy(b, n, policy.Equi{}, newSystem) })
+	b.Run("rebuild-SRPT", func(b *testing.B) { benchOccupancy(b, n, &policy.SRPTK{}, newRefSystem) })
+	b.Run("incremental-SRPT", func(b *testing.B) { benchOccupancy(b, n, &policy.SRPTK{}, newSystem) })
 }
 
 // BenchmarkEngineEventN* pin the engines' per-event scaling in the resident
 // job count — the numbers recorded in BENCH_engine.json by scripts/bench.sh
-// and gated by `benchlog -check` in CI. The acceptance bar for this PR:
-// incremental >= 10x fewer ns/op than rebuild at n = 10k for EQUI and SRPT,
-// with 0 allocs/op in steady state.
+// and gated by `benchlog -check` in CI. The bar: the production engine
+// runs >= 10x fewer ns/op than the rebuild reference at n = 10k for EQUI
+// and SRPT, with 0 allocs/op in steady state.
 func BenchmarkEngineEventN10(b *testing.B)  { benchEngines(b, 10) }
 func BenchmarkEngineEventN100(b *testing.B) { benchEngines(b, 100) }
 func BenchmarkEngineEventN1k(b *testing.B)  { benchEngines(b, 1000) }

@@ -199,17 +199,14 @@ func fuzzCloseRel(a, b float64) bool {
 // checkShareInvariants asserts the conservation laws on a stepping system:
 // no job or class holds a negative share or exceeds its class cap
 // (MaxServers), the shares sum to at most k, and — when an elastic job is
-// resident under a work-conserving policy — to exactly k.
+// resident under a work-conserving policy — to exactly k. Shares are lazily
+// refreshed state, stale between stepping calls by design (the class-share
+// path defers the post-completion re-derivation to the next call when
+// provably safe), so callers settle the pending refresh first — exactly
+// what the next stepping call would do — and the checker reads the
+// allocation the engine will actually integrate with.
 func checkShareInvariants(t *testing.T, label string, sys *System) {
 	t.Helper()
-	// Shares are lazily refreshed engine state, stale between stepping calls
-	// by design (the class-share path defers the post-completion re-derivation
-	// to the next call when provably safe). Settle the pending refresh —
-	// exactly what the next stepping call would do first — so the checker
-	// reads the allocation the engine will actually integrate with.
-	if sys.engine == EngineIncremental {
-		sys.refreshAllocationInc()
-	}
 	k := float64(sys.k)
 	total := 0.0
 	if cs := sys.cs; cs != nil {
@@ -247,22 +244,22 @@ func checkShareInvariants(t *testing.T, label string, sys *System) {
 	}
 }
 
-// runSparseShareFuzz drives one interleaving through the sparse fast path
-// and the forced-dense fallback of the same policy, checking share
+// runSparseShareFuzz drives one interleaving through the engine's fast path
+// for the policy and through the rebuild reference engine, checking share
 // invariants at every step and the per-job outcomes at the end. Completion
 // ORDER is deliberately not compared: the quantized sizes make exact
-// floating-point completion-time ties likely, and the two paths may resolve
-// a cross-class tie differently; per-job completion times still must agree
-// to 1e-9.
+// floating-point completion-time ties likely, and the two engines may
+// resolve a cross-class tie differently; per-job completion times still
+// must agree to 1e-9.
 func runSparseShareFuzz(t *testing.T, mk func() Policy, data []byte) {
 	const k = 3
 	specs := TwoClassSpecs()
-	sparse := NewClassSystemOpts(k, specs, mk(), Options{Engine: EngineIncremental})
-	dense := NewClassSystemOpts(k, specs, mk(), Options{Engine: EngineIncremental, ForceDense: true})
-	if dense.cs != nil || dense.srpt != nil || dense.sparse != nil {
-		t.Fatal("ForceDense system still selected a fast path")
+	sparse := NewClassSystem(k, specs, mk())
+	if sparse.cs == nil && sparse.srpt == nil {
+		t.Fatal("no fast path engaged")
 	}
-	var sparseDone, denseDone []Completion
+	ref := newRefSystem(k, specs, mk())
+	var sparseDone, refDone []Completion
 	clock := 0.0
 	arrived := 0.0
 	n := 0
@@ -276,7 +273,7 @@ func runSparseShareFuzz(t *testing.T, mk func() Policy, data []byte) {
 			// Advance: both systems step through the same completions.
 			clock += float64(val%64+1) / 16
 			sparseDone = append(sparseDone, sparse.AdvanceTo(clock)...)
-			denseDone = append(denseDone, dense.AdvanceTo(clock)...)
+			refDone = append(refDone, ref.AdvanceTo(clock)...)
 		} else {
 			// Arrival with a quantized size, so exact completion-time ties
 			// across jobs and classes actually occur.
@@ -284,50 +281,52 @@ func runSparseShareFuzz(t *testing.T, mk func() Policy, data []byte) {
 			size := float64(val%8+1) / 4
 			a := Arrival{Time: clock, Class: class, Size: size}
 			sparse.Arrive(a)
-			dense.Arrive(a)
+			ref.Arrive(a)
 			arrived += size
 			n++
 			// The engines refresh allocations lazily; force the refresh so
 			// the invariant check below sees this arrival's share.
 			sparse.AdvanceTo(clock)
-			dense.AdvanceTo(clock)
+			ref.AdvanceTo(clock)
 		}
+		sparse.refresh()
 		checkShareInvariants(t, "sparse", sparse)
-		checkShareInvariants(t, "dense", dense)
+		ref.refreshAllocation()
+		checkShareInvariants(t, "reference", ref.System)
 	}
 	sparseDone = append(sparseDone, sparse.Drain(clock+1e9)...)
-	denseDone = append(denseDone, dense.Drain(clock+1e9)...)
-	if sparse.NumJobs() != 0 || dense.NumJobs() != 0 {
-		t.Fatalf("jobs stuck after drain: sparse %d, dense %d", sparse.NumJobs(), dense.NumJobs())
+	refDone = append(refDone, ref.Drain(clock+1e9)...)
+	if sparse.NumJobs() != 0 || ref.NumJobs() != 0 {
+		t.Fatalf("jobs stuck after drain: sparse %d, reference %d", sparse.NumJobs(), ref.NumJobs())
 	}
-	if len(sparseDone) != n || len(denseDone) != n {
-		t.Fatalf("%d arrivals: sparse completed %d, dense completed %d", n, len(sparseDone), len(denseDone))
+	if len(sparseDone) != n || len(refDone) != n {
+		t.Fatalf("%d arrivals: sparse completed %d, reference completed %d", n, len(sparseDone), len(refDone))
 	}
 	// Order-insensitive differential check: same job set, same per-job
 	// completion times to 1e-9.
 	finish := make(map[int]float64, n)
-	for _, c := range denseDone {
+	for _, c := range refDone {
 		finish[c.Job.ID] = c.Finished
 	}
 	for _, c := range sparseDone {
 		dt, ok := finish[c.Job.ID]
 		if !ok {
-			t.Fatalf("sparse completed job %d unknown to the dense run", c.Job.ID)
+			t.Fatalf("sparse completed job %d unknown to the reference run", c.Job.ID)
 		}
 		if !fuzzCloseRel(c.Finished, dt) {
-			t.Fatalf("job %d: sparse finished %v, dense %v", c.Job.ID, c.Finished, dt)
+			t.Fatalf("job %d: sparse finished %v, reference %v", c.Job.ID, c.Finished, dt)
 		}
 		delete(finish, c.Job.ID)
 	}
-	sw, dw := sparse.Metrics().CompletedWork(), dense.Metrics().CompletedWork()
-	if math.Abs(sw-arrived) > 1e-6*math.Max(arrived, 1) || !fuzzCloseRel(sw, dw) {
-		t.Fatalf("work ledger: arrived %v, sparse completed %v, dense completed %v", arrived, sw, dw)
+	sw, rw := sparse.Metrics().CompletedWork(), ref.Metrics().CompletedWork()
+	if math.Abs(sw-arrived) > 1e-6*math.Max(arrived, 1) || !fuzzCloseRel(sw, rw) {
+		t.Fatalf("work ledger: arrived %v, sparse completed %v, reference completed %v", arrived, sw, rw)
 	}
 }
 
 // FuzzSparseShareSet drives random arrival/advance interleavings with
-// quantized sizes through the incremental engine's EQUI class-share path
-// and SRPT indexed-heap path, each against its forced-dense oracle.
+// quantized sizes through the engine's EQUI class-share path
+// and SRPT indexed-heap path, each against the rebuild reference engine.
 func FuzzSparseShareSet(f *testing.F) {
 	f.Add([]byte{1, 3, 1, 3, 0, 8, 1, 7, 0, 40})                                // burst then drain
 	f.Add([]byte{2, 0, 3, 0, 2, 0, 3, 0, 0, 2, 0, 2, 0, 2, 0, 63})              // same-size ties across classes

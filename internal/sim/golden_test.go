@@ -1,15 +1,23 @@
 package sim_test
 
-// Cross-engine equivalence goldens: the frozen, bit-exact output of the
-// two-class engine on fixed seeds. The files under testdata/ were generated
-// by the pre-unification engine (internal/sim before the N-class refactor);
-// the unified engine running the two-class preset must reproduce every bit
-// of them. Regenerate with
+// Frozen, bit-exact engine output on fixed seeds. Two golden sets replay
+// the same 3000-arrival two-class trace:
 //
-//	go test ./internal/sim -run TestGoldenTwoClass -update
+//   - golden_trace_* pin the rebuild reference engine (sim.RefSystem). The
+//     files were generated by the pre-unification two-class engine, and
+//     the reference must reproduce every bit of them.
+//   - golden_inc_trace_* pin the production engine (sim.System), which is
+//     deterministic but rounds differently from the reference: it does not
+//     re-derive completion times at every event, and that per-event
+//     re-derivation is the O(n) cost it removes. Agreement between the two
+//     engines is pinned separately, to 1e-9, by engine_equiv_test.go.
 //
-// only when an intentional semantic change to the engine is being made, and
-// say so loudly in the PR.
+// Regenerate with
+//
+//	go test ./internal/sim -run 'TestGolden' -update
+//
+// only when an intentional semantic change to an engine is being made, and
+// say so loudly in the change description.
 
 import (
 	"encoding/json"
@@ -57,11 +65,29 @@ type goldenTrace struct {
 // aggregate statistics still cover the full run.
 const goldenTracePrefix = 256
 
-func computeGoldenTrace(t *testing.T, polName string) goldenTrace {
-	return computeGoldenTraceEngine(t, polName, sim.EngineRebuild)
+// stepper is the stepping surface shared by the production engine and the
+// rebuild reference, so one trace runner serves both.
+type stepper interface {
+	Arrive(a sim.Arrival) *sim.Job
+	AdvanceTo(t float64) []sim.Completion
+	Drain(horizon float64) []sim.Completion
+	NextEventTime() float64
+	Metrics() *sim.Metrics
+	NumJobs() int
 }
 
-func computeGoldenTraceEngine(t *testing.T, polName string, engine sim.Engine) goldenTrace {
+// newStepper builds an empty system of one engine.
+type newStepper func(k int, classes []sim.ClassSpec, pol sim.Policy) stepper
+
+func newSystem(k int, classes []sim.ClassSpec, pol sim.Policy) stepper {
+	return sim.NewClassSystem(k, classes, pol)
+}
+
+func newRefSystem(k int, classes []sim.ClassSpec, pol sim.Policy) stepper {
+	return sim.NewRefSystem(k, classes, pol)
+}
+
+func computeGoldenTrace(t *testing.T, polName string, mk newStepper) goldenTrace {
 	t.Helper()
 	model := workload.ModelForLoad(4, 0.8, 1.5, 1.0)
 	pol, err := core.System{K: 4, LambdaI: model.LambdaI, LambdaE: model.LambdaE,
@@ -70,7 +96,7 @@ func computeGoldenTraceEngine(t *testing.T, polName string, engine sim.Engine) g
 		t.Fatal(err)
 	}
 	trace := model.Trace(11, 3000)
-	sys := sim.NewClassSystemOpts(4, sim.TwoClassSpecs(), pol, sim.Options{Engine: engine})
+	sys := mk(4, sim.TwoClassSpecs(), pol)
 	g := goldenTrace{Policy: polName}
 	record := func(done []sim.Completion) {
 		for _, c := range done {
@@ -126,14 +152,27 @@ func readGolden(t *testing.T, name string, v any) {
 	}
 }
 
-// TestGoldenTwoClassTraces replays a frozen 3000-arrival trace under each
-// policy and demands bit-identical completion sequences and aggregate
-// statistics against the pre-refactor engine's output.
+// TestGoldenTwoClassTraces replays the frozen trace under each policy on
+// the rebuild reference engine and demands bit-identical completion
+// sequences and aggregate statistics against the pre-refactor engine.
 func TestGoldenTwoClassTraces(t *testing.T) {
+	checkGoldenTraces(t, "golden_trace_", newRefSystem)
+}
+
+// TestGoldenIncrementalTraces replays the same trace on the production
+// engine against its own golden set.
+func TestGoldenIncrementalTraces(t *testing.T) {
+	checkGoldenTraces(t, "golden_inc_trace_", newSystem)
+}
+
+// checkGoldenTraces runs every golden policy on one engine and diffs the
+// completion prefix and aggregate statistics bit for bit against the
+// prefix-named golden files.
+func checkGoldenTraces(t *testing.T, prefix string, mk newStepper) {
 	for _, polName := range goldenPolicies {
 		t.Run(polName, func(t *testing.T) {
-			got := computeGoldenTrace(t, polName)
-			name := "golden_trace_" + sanitize(polName) + ".json"
+			got := computeGoldenTrace(t, polName, mk)
+			name := prefix + sanitize(polName) + ".json"
 			if *update {
 				writeGolden(t, name, got)
 				return
@@ -167,10 +206,10 @@ func TestGoldenTwoClassTraces(t *testing.T) {
 	}
 }
 
-// TestGoldenRunPipeline freezes the warmup/measurement driver output (the
-// path exp and the cmds use): sim.Run with a warmup budget on the stochastic
-// two-class model.
-func TestGoldenRunPipeline(t *testing.T) {
+// TestGoldenIncrementalRunPipeline freezes the warmup/measurement loop
+// output (the path exp and the cmds use): sim.Run with a warmup budget on
+// the stochastic two-class model.
+func TestGoldenIncrementalRunPipeline(t *testing.T) {
 	type cell struct {
 		Policy      string `json:"policy"`
 		MuI         string `json:"muI"`
@@ -200,7 +239,7 @@ func TestGoldenRunPipeline(t *testing.T) {
 			})
 		}
 	}
-	const name = "golden_run_cells.json"
+	const name = "golden_inc_run_cells.json"
 	if *update {
 		writeGolden(t, name, got)
 		return

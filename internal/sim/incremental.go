@@ -1,14 +1,14 @@
 package sim
 
-// The incremental stepping engine (Options.Engine = EngineIncremental):
-// per-event cost O(changed jobs · log n) instead of the rebuild engine's
-// O(n), built from three pieces.
+// The stepping engine of System: per-event cost O(changed jobs · log n)
+// rather than the O(n) of re-depleting every job at every event, built from
+// three pieces.
 //
 //  1. Lazy work depletion. Each job carries its current rate and the time
-//     its Remaining was last settled (Job.updated); the rebuild engine's
-//     full advanceWork scan disappears. Remaining is settled only when the
-//     job's rate changes, when it completes, or when a dense (non-sparse)
-//     policy is about to run and may read it.
+//     its Remaining was last settled (Job.updated); there is no per-event
+//     scan over resident jobs. Remaining is settled only when the job's
+//     rate changes, when it completes, or when a dense (non-sparse) policy
+//     is about to run and may read it.
 //  2. An indexed future-event list (eventq.IndexedQueue), keyed by arena
 //     handle. A rate change reschedules the job's one entry in place; a
 //     preemption to zero removes it — the heap holds exactly the jobs with
@@ -27,12 +27,9 @@ package sim
 //     head event per class, O(#classes) per event. SRPT-style policies
 //     (RemainingOrderedPolicy) run on an engine-native indexed heap over
 //     remaining sizes (srpt_inc.go), O(k log n) per event. Policies with
-//     none of these facets — and every policy under Options.ForceDense or
-//     SIM_FORCE_DENSE — fall back to a dense path: settle every job, run
+//     none of these facets fall back to a dense path: settle every job, run
 //     Allocate on zeroed buffers, diff every entry. That is O(n) per event
-//     but produces identical decisions, so every policy is correct under
-//     either engine; the dense fallback doubles as the oracle the
-//     differential test harness diffs all fast paths against.
+//     but produces identical decisions, so every policy is correct.
 //
 // Per-class aggregates (incRate, incWork, incTotal) replace the metrics
 // integrator's per-job scans; they are renormalized to exact zero whenever
@@ -40,12 +37,13 @@ package sim
 // periods.
 //
 // Determinism: the engine is exactly reproducible (its golden set pins it
-// bit for bit), but it is NOT bit-identical to the rebuild engine. The
-// rebuild engine re-derives every completion time from freshly depleted
-// remaining work at every event; reproducing those roundings requires the
-// very O(n) scan this engine removes. The two engines agree to ~1e-12
-// relative — the cross-engine equivalence suite pins identical completion
-// ID sequences and statistics to 1e-9.
+// bit for bit). Its test oracle is the rebuild reference engine
+// (reference_test.go), which re-derives every completion time from freshly
+// depleted remaining work at every event; reproducing those roundings
+// requires the very O(n) scan this engine removes, so the two agree to
+// ~1e-12 relative, not bit for bit. The equivalence suite pins identical
+// completion ID sequences and statistics to 1e-9 for every fast path and
+// for the dense fallback.
 
 import (
 	"fmt"
@@ -109,9 +107,9 @@ func (ws *ShareSet) reset(numClasses int) {
 	ws.served = ws.served[:numClasses]
 }
 
-// SparsePolicy is an optional Policy extension consumed by the incremental
+// SparsePolicy is an optional Policy extension consumed by the stepping
 // engine. AllocateSparse must report exactly the jobs that Allocate would
-// give a nonzero share, with the same shares — the cross-engine equivalence
+// give a nonzero share, with the same shares — the engine equivalence
 // suite holds the two faces of every policy together. Implementations must
 // be size-blind: Job.Remaining is NOT settled before AllocateSparse runs.
 // Policies whose decision depends on n jobs at once should implement one of
@@ -193,23 +191,22 @@ func (s *System) setShare(j *Job, a float64) {
 	switch {
 	case j.Remaining <= 0:
 		// Fully depleted but not yet removed (an allocation change landed
-		// exactly on the finish time): completes immediately, like the
-		// rebuild engine's zero-remaining Append.
-		s.ievq.Set(s.clock, j.handle)
+		// exactly on the finish time): completes immediately.
+		s.evq.Set(s.clock, j.handle)
 	case rate > 0:
-		s.ievq.Set(s.clock+j.Remaining/rate, j.handle)
+		s.evq.Set(s.clock+j.Remaining/rate, j.handle)
 	default:
 		// Preempted to zero with work left: no completion is in sight until
 		// the job is served again.
-		s.ievq.Remove(j.handle)
+		s.evq.Remove(j.handle)
 	}
 }
 
-// refreshAllocationInc re-runs the policy if the job set changed, through
-// the fastest protocol the policy supports: the class-share path, the
-// engine-native remaining-size path, the sparse write-set protocol, or the
-// dense diff fallback.
-func (s *System) refreshAllocationInc() {
+// refresh re-runs the policy if the job set changed, through the fastest
+// protocol the policy supports: the class-share path, the engine-native
+// remaining-size path, the sparse write-set protocol, or the dense diff
+// fallback.
+func (s *System) refresh() {
 	if !s.allocDirty {
 		return
 	}
@@ -302,8 +299,8 @@ func (s *System) applySparse() {
 	s.incPrevValid = true
 }
 
-// applyDense diffs a fully materialized Allocation (the rebuild-style
-// buffer) against every job's previous share — O(n), the correctness
+// applyDense diffs a fully materialized Allocation against every job's
+// previous share — O(n), the correctness
 // fallback for policies without a SparsePolicy facet.
 func (s *System) applyDense() {
 	const eps = 1e-9
@@ -328,10 +325,10 @@ func (s *System) peekLive() (*Job, float64) {
 	if s.cs != nil {
 		return s.cs.peekNext(s)
 	}
-	if s.ievq.Empty() {
+	if s.evq.Empty() {
 		return nil, math.Inf(1)
 	}
-	h, t := s.ievq.Peek()
+	h, t := s.evq.Peek()
 	return s.jobs.at(h), t
 }
 
@@ -340,17 +337,17 @@ func (s *System) peekLive() (*Job, float64) {
 // completion is processed.
 func (s *System) popEvent() {
 	if s.cs == nil {
-		s.ievq.Pop()
+		s.evq.Pop()
 	}
 }
 
-// advanceTimeInc integrates metrics and the per-class aggregates up to t
-// with no completion in between — O(#classes), no per-job work. The metric
+// advanceTime integrates metrics and the per-class aggregates up to t with
+// no completion in between — O(#classes), no per-job work. The metric
 // integrals and the aggregate depletion run fused in one per-class pass
 // (the per-class terms are independent, so the fusion is bit-invisible);
-// the integrals are the same segment formulas the rebuild engine computes
-// from per-job scans, here read off the maintained aggregates.
-func (s *System) advanceTimeInc(t float64) {
+// the integrals are the exact segment formulas of a per-job scan, read off
+// the maintained aggregates.
+func (s *System) advanceTime(t float64) {
 	dt := t - s.clock
 	if dt <= 0 {
 		return
@@ -385,20 +382,10 @@ func (s *System) advanceTimeInc(t float64) {
 	s.clock = t
 }
 
-// arriveInc registers a fresh arrival with the active specialized mode.
-func (s *System) arriveInc(j *Job) {
-	switch {
-	case s.cs != nil:
-		s.cs.arrive(s, j)
-	case s.srpt != nil:
-		s.srpt.arrive(s, j)
-	}
-}
-
-// completeInc finishes j at the current clock: settle, remove, record,
+// completeJob finishes j at the current clock: settle, remove, record,
 // recycle. The caller has already popped (or never armed) the job's event
 // entry, so its handle leaves the engine with no event referencing it.
-func (s *System) completeInc(j *Job) {
+func (s *System) completeJob(j *Job) {
 	if s.sparse != nil {
 		// Warm the about-to-be-promoted jobs: the refresh that follows this
 		// completion walks the first unserved job of some class (profiling
@@ -483,88 +470,4 @@ func (s *System) completeInc(j *Job) {
 			s.incRate[c], s.incWork[c] = 0, 0
 		}
 	}
-}
-
-// advanceToInc is AdvanceTo under the incremental engine: identical event
-// semantics (completions in (clock, t], including ones landing exactly on
-// the clock or on t), different bookkeeping.
-func (s *System) advanceToInc(t float64) []Completion {
-	s.records = s.records[:0]
-	for {
-		s.refreshAllocationInc()
-		j, tc := s.peekLive()
-		if j != nil && tc <= t {
-			s.popEvent()
-			s.advanceTimeInc(tc)
-			s.completeInc(j)
-			// Batch simultaneous completions: rates cannot change until the
-			// policy re-runs, so every other live event at exactly tc is
-			// already decided — complete them all now and re-invoke the
-			// policy once for the whole timestamp instead of once per event.
-			// Exact-time ties are what batch/fork-join workloads produce.
-			for {
-				j2, tc2 := s.peekLive()
-				if j2 == nil || tc2 != tc {
-					break
-				}
-				s.popEvent()
-				s.completeInc(j2)
-			}
-			// Class-share refresh deferral: when the advance ends exactly at
-			// this batch's timestamp and every surviving class head is
-			// provably clear of the completion coordinate, the policy re-run
-			// cannot produce another completion inside this AdvanceTo — so
-			// it waits for the next stepping call, where it merges with the
-			// refresh that call performs anyway (allocDirty stays set). For
-			// the completion-then-arrival-at-the-same-instant shape of
-			// lockstep drivers this halves the policy work per event.
-			if s.cs != nil && tc == t && s.cs.deferSafe(s) {
-				break
-			}
-			continue
-		}
-		if s.clock < t {
-			s.advanceTimeInc(t)
-		}
-		break
-	}
-	// Clamp accumulated floating error so coupled runs stay aligned.
-	s.clock = t
-	return s.materializeCompletions()
-}
-
-// advanceClockOnlyInc mirrors advanceClockOnly: integrate up to t assuming
-// no completion strictly before t; completions exactly at t wait for the
-// next AdvanceTo, after the arrival at t has joined the queue.
-func (s *System) advanceClockOnlyInc(t float64) {
-	for s.clock < t {
-		s.refreshAllocationInc()
-		j, tc := s.peekLive()
-		if j == nil || tc >= t {
-			s.advanceTimeInc(t)
-			break
-		}
-		s.popEvent()
-		s.advanceTimeInc(tc)
-		s.completeInc(j)
-	}
-	s.clock = t
-}
-
-// drainInc mirrors Drain under the incremental engine.
-func (s *System) drainInc(horizon float64) []Completion {
-	s.records = s.records[:0]
-	for s.NumJobs() > 0 && s.clock < horizon {
-		s.refreshAllocationInc()
-		j, tc := s.peekLive()
-		if j == nil || tc > horizon {
-			s.advanceTimeInc(horizon)
-			s.clock = horizon
-			break
-		}
-		s.popEvent()
-		s.advanceTimeInc(tc)
-		s.completeInc(j)
-	}
-	return append([]Completion(nil), s.materializeCompletions()...)
 }

@@ -18,24 +18,22 @@
 //
 // Steady-state stepping is allocation-free: Job structs are recycled through
 // a free list, the Allocation buffers handed to the policy are reused across
-// events, and departures are selected through the internal/eventq future
-// event list (ties resolve in class-then-FCFS order, matching the scan order
-// of the historical two-class engine bit for bit).
+// events, and departures are selected through the internal/eventq indexed
+// future-event list (ties in time resolve in scheduling order).
 //
-// Two stepping engines are available (Options.Engine). The default rebuild
-// engine depletes every job and rebuilds the future-event list at every
-// event — O(n) per event in the occupancy n, bit-frozen by the golden set.
-// The opt-in incremental engine (incremental.go) keeps completion events
-// across steps, settles per-job remaining work lazily, and re-touches only
-// jobs whose allocation actually changed — O(changed · log n) per event for
-// the strict-priority policy family, which is what makes near-saturation
-// (rho → 1) sweeps with thousands of resident jobs tractable.
+// Stepping is incremental (incremental.go): completion events persist
+// across steps, per-job remaining work is settled lazily, and only jobs
+// whose allocation actually changed are re-touched — O(changed · log n) per
+// event for the strict-priority family, O(#classes) for EQUI's class shares
+// and O(k log n) for SRPT-k's indexed heap, which is what makes
+// near-saturation (rho → 1) sweeps with thousands of resident jobs
+// tractable. The historical rebuild loop, which depletes every job and
+// rebuilds the future-event list at every event (O(n)), survives only as
+// the test-side reference engine the suite diffs this one against.
 package sim
 
 import (
 	"fmt"
-	"math"
-	"os"
 	"sort"
 
 	"repro/internal/dist"
@@ -90,9 +88,9 @@ type Arrival struct {
 // Job is a job resident in the system. Policies receive jobs in FCFS order
 // per class; the paper's policies are size-blind and must not read Remaining
 // (it is exposed for instrumentation and for known-size baselines only).
-// Under the incremental engine Remaining is settled lazily: it is exact in
-// Completion snapshots and whenever the policy's Allocate (not
-// AllocateSparse) runs, but may be stale between events for other readers.
+// Remaining is settled lazily: it is exact in Completion snapshots and
+// whenever the policy's Allocate (not AllocateSparse) runs, but may be
+// stale between events for other readers.
 // The pointer returned by Arrive is valid until the job completes; completed
 // Job structs are recycled by the engine.
 type Job struct {
@@ -104,9 +102,9 @@ type Job struct {
 	rate      float64 // current service rate s(servers)
 	servers   float64 // current server allocation
 
-	// Incremental-engine state (unused by the rebuild engine): updated is
-	// the time Remaining was last settled; round marks the last
-	// sparse-allocation round that wrote this job. The job's future-event
+	// Lazy-settlement state: updated is the time Remaining was last
+	// settled; round marks the last sparse-allocation round that wrote this
+	// job. The job's future-event
 	// entry is keyed by handle in the indexed event list (eventq.IndexedQueue),
 	// which holds at most one entry per handle — no generation stamps needed.
 	updated float64
@@ -183,8 +181,8 @@ type Completion struct {
 }
 
 // completionRecord is the engine-internal shape of one completion: ~40
-// bytes against Completion's ~112, appended by both engines through the
-// shared appendCompletion helper and expanded into full Completions only
+// bytes against Completion's ~112, appended through the
+// appendCompletion helper and expanded into full Completions only
 // when AdvanceTo/Drain return to the caller (the RunObserved/recorder
 // boundary).
 type completionRecord struct {
@@ -198,63 +196,11 @@ type completionRecord struct {
 // Response returns the job's response time.
 func (c Completion) Response() float64 { return c.Finished - c.Job.Arrival }
 
-// Engine selects the stepping implementation of a System.
-type Engine uint8
-
-const (
-	// EngineRebuild is the default engine: every event depletes all jobs
-	// and rebuilds the future-event list. It is bit-frozen by the golden
-	// set and remains the reference implementation.
-	EngineRebuild Engine = iota
-	// EngineIncremental keeps completion events across steps, settles
-	// remaining work lazily and re-touches only jobs whose allocation
-	// changed — O(changed · log n) per event for SparsePolicy policies.
-	// It is deterministic with its own golden set; completion times agree
-	// with the rebuild engine to floating-point reassociation (~1e-12
-	// relative), not bit for bit.
-	EngineIncremental
-)
-
-// String returns the engine's flag spelling.
-func (e Engine) String() string {
-	if e == EngineIncremental {
-		return "incremental"
-	}
-	return "rebuild"
-}
-
-// ParseEngine resolves a flag/config spelling; the empty string means the
-// default rebuild engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "rebuild":
-		return EngineRebuild, nil
-	case "incremental":
-		return EngineIncremental, nil
-	}
-	return EngineRebuild, fmt.Errorf("sim: unknown engine %q (want rebuild or incremental)", s)
-}
-
-// Options configure a System beyond the model parameters.
-type Options struct {
-	// Engine selects the stepping engine; the zero value is EngineRebuild.
-	Engine Engine
-	// ForceDense disables the incremental engine's fast paths (the
-	// SparsePolicy write-set protocol and the specialized EQUI/SRPT modes)
-	// and runs every policy on the dense settle-all fallback. The fallback
-	// is the oracle the differential test harness diffs the fast paths
-	// against; this switch keeps it reachable forever. The SIM_FORCE_DENSE
-	// environment variable (any nonempty value) has the same effect, so the
-	// oracle can also be forced through CLIs and CI without a code change.
-	ForceDense bool
-}
-
 // System is one simulated cluster under one policy.
 type System struct {
 	k       int
 	classes []ClassSpec
 	policy  Policy
-	engine  Engine
 	clock   float64
 	nextID  int
 
@@ -279,19 +225,13 @@ type System struct {
 	caps   []float64
 	idRate []bool
 
-	// evq is the rebuild engine's future-event list, refilled from the live
-	// job set at every event (its backing array is reused, so rebuilding is
-	// allocation-free). It holds arena handles — no pointers, so heap swaps
-	// write no barriers.
-	evq eventq.Queue[jobHandle]
-
-	// ievq is the incremental engine's future-event list for the sparse,
-	// SRPT and dense paths: an indexed heap with at most one entry per
-	// handle, rescheduled in place when a rate changes, so the heap depth is
-	// the live event count (~k entries under the sparse paths) and no stale
-	// entries ever accumulate. The class-share path bypasses it entirely —
+	// evq is the future-event list for the sparse, SRPT and dense paths:
+	// an indexed heap with at most one entry per handle, rescheduled in
+	// place when a rate changes, so the heap depth is the live event count
+	// (~k entries under the sparse paths) and no stale entries ever
+	// accumulate. The class-share path bypasses it entirely —
 	// its per-class head times live in classShareState.nextT.
-	ievq eventq.IndexedQueue
+	evq eventq.IndexedQueue
 
 	metrics Metrics
 
@@ -306,7 +246,7 @@ type System struct {
 
 	allocDirty bool
 
-	// Incremental-engine state (see incremental.go). sparse is the policy's
+	// Stepping state (see incremental.go). sparse is the policy's
 	// SparsePolicy facet when it has one; incRate/incWork are per-class
 	// service-rate and remaining-work aggregates settled to clock; incTotal
 	// is the allocated server total; incActive holds the jobs with nonzero
@@ -330,7 +270,7 @@ type System struct {
 
 	// incServed[c] counts class c's jobs in incActive as of the last sparse
 	// apply; prefetchSink forces the service-boundary warmup loads in
-	// completeInc to stay in the compiled code. Both are heuristic-only
+	// completeJob to stay in the compiled code. Both are heuristic-only
 	// state: no simulation quantity ever reads them.
 	incServed    []int32
 	prefetchSink uint64
@@ -345,13 +285,10 @@ type System struct {
 }
 
 // NewClassSystem returns an empty system with k servers over the given job
-// classes, governed by policy, using the default rebuild engine.
+// classes, governed by policy. The policy's structure-specific facet, when
+// it has one, selects the stepping fast path; policies without one run on
+// the dense fallback.
 func NewClassSystem(k int, classes []ClassSpec, policy Policy) *System {
-	return NewClassSystemOpts(k, classes, policy, Options{})
-}
-
-// NewClassSystemOpts is NewClassSystem with engine-level Options.
-func NewClassSystemOpts(k int, classes []ClassSpec, policy Policy, opts Options) *System {
 	if k < 1 {
 		panic("sim: k must be >= 1")
 	}
@@ -362,13 +299,15 @@ func NewClassSystemOpts(k int, classes []ClassSpec, policy Policy, opts Options)
 		panic("sim: nil policy")
 	}
 	s := &System{
-		k:       k,
-		classes: append([]ClassSpec(nil), classes...),
-		policy:  policy,
-		engine:  opts.Engine,
-		queues:  make([][]*Job, len(classes)),
-		qbase:   make([][]*Job, len(classes)),
-		qoff:    make([]int, len(classes)),
+		k:         k,
+		classes:   append([]ClassSpec(nil), classes...),
+		policy:    policy,
+		queues:    make([][]*Job, len(classes)),
+		qbase:     make([][]*Job, len(classes)),
+		qoff:      make([]int, len(classes)),
+		incRate:   make([]float64, len(classes)),
+		incWork:   make([]float64, len(classes)),
+		incServed: make([]int32, len(classes)),
 	}
 	s.alloc.Classes = make([][]float64, len(classes))
 	s.st.K = k
@@ -382,31 +321,21 @@ func NewClassSystemOpts(k int, classes []ClassSpec, policy Policy, opts Options)
 	}
 	s.metrics.init(len(classes))
 	s.metrics.Reset(0)
-	if s.engine == EngineIncremental {
-		s.incRate = make([]float64, len(classes))
-		s.incWork = make([]float64, len(classes))
-		s.incServed = make([]int32, len(classes))
-		if !opts.ForceDense && os.Getenv("SIM_FORCE_DENSE") == "" {
-			switch p := policy.(type) {
-			case ClassSharePolicy:
-				s.cs = newClassShareState(p, s)
-				s.orderBlind = true
-			case RemainingOrderedPolicy:
-				s.srpt = &srptState{}
-				s.orderBlind = true
-			default:
-				s.sparse, _ = policy.(SparsePolicy)
-				if s.sparse != nil {
-					s.arrShadow, _ = policy.(ArrivalShadowPolicy)
-				}
-			}
+	switch p := policy.(type) {
+	case ClassSharePolicy:
+		s.cs = newClassShareState(p, s)
+		s.orderBlind = true
+	case RemainingOrderedPolicy:
+		s.srpt = &srptState{}
+		s.orderBlind = true
+	default:
+		s.sparse, _ = policy.(SparsePolicy)
+		if s.sparse != nil {
+			s.arrShadow, _ = policy.(ArrivalShadowPolicy)
 		}
 	}
 	return s
 }
-
-// Engine returns the system's stepping engine.
-func (s *System) Engine() Engine { return s.engine }
 
 // K returns the number of servers.
 func (s *System) K() int { return s.k }
@@ -445,21 +374,14 @@ func (s *System) Work() float64 {
 }
 
 // WorkClass returns the remaining class-c work W_c(t) (0 for a class the
-// system does not have). Under the incremental engine the value comes from
-// the maintained per-class aggregate rather than a per-job scan, so it is
-// O(1) and exact to floating-point reassociation.
+// system does not have). The value comes from the maintained per-class
+// aggregate rather than a per-job scan, so it is O(1) and exact to
+// floating-point reassociation.
 func (s *System) WorkClass(c Class) float64 {
 	if c < 0 || int(c) >= len(s.queues) {
 		return 0
 	}
-	if s.engine == EngineIncremental {
-		return s.incWork[c]
-	}
-	w := 0.0
-	for _, j := range s.queues[c] {
-		w += j.Remaining
-	}
-	return w
+	return s.incWork[c]
 }
 
 // Metrics returns the accumulated metrics.
@@ -476,12 +398,32 @@ func (s *System) Arrive(a Arrival) *Job {
 		panic(fmt.Sprintf("sim: arrival at %v is before clock %v", a.Time, s.clock))
 	}
 	if a.Time > s.clock {
-		if s.engine == EngineIncremental {
-			s.advanceClockOnlyInc(a.Time)
-		} else {
-			s.advanceClockOnly(a.Time)
-		}
+		s.advanceClockTo(a.Time)
 	}
+	j := s.admit(a)
+	s.incWork[a.Class] += a.Size
+	switch {
+	case s.cs != nil:
+		s.cs.arrive(s, j)
+	case s.srpt != nil:
+		s.srpt.arrive(s, j)
+	}
+	// Shadowed-arrival fast path: if the policy's last walk provably stops
+	// before it would reach this job (ArrivalShadowPolicy), the allocation
+	// is unchanged and the refresh is skipped outright. Only valid while
+	// the last applied write-set is still in force — completions clear
+	// incPrevValid.
+	if s.arrShadow != nil && s.incPrevValid && s.incWrites.exhaustedAt >= 0 &&
+		s.arrShadow.ArrivalShadowed(&s.st, s.incWrites.exhaustedAt, a.Class) {
+		return j
+	}
+	s.allocDirty = true
+	return j
+}
+
+// admit validates an arrival at the current clock and enqueues a fresh job
+// for it: the bookkeeping every stepping loop shares.
+func (s *System) admit(a Arrival) *Job {
 	if a.Size <= 0 {
 		panic("sim: job size must be positive")
 	}
@@ -489,10 +431,10 @@ func (s *System) Arrive(a Arrival) *Job {
 		panic(fmt.Sprintf("sim: arrival of unknown class %d on a %d-class system", a.Class, len(s.classes)))
 	}
 	// handle must survive recycling (alloc preserves it); no future-event
-	// entry from the slot's previous life can linger — the engines
-	// unschedule a job's event before releasing its slot. Every other field
-	// is reset explicitly (cheaper than a full struct clear followed by
-	// re-writing half the fields).
+	// entry from the slot's previous life can linger — a job's event is
+	// unscheduled before its slot is released. Every other field is reset
+	// explicitly (cheaper than a full struct clear followed by re-writing
+	// half the fields).
 	j := s.jobs.alloc()
 	j.Remaining = a.Size
 	j.rate = 0
@@ -510,48 +452,53 @@ func (s *System) Arrive(a Arrival) *Job {
 	s.pushQueue(a.Class, j)
 	s.numJobs++
 	s.metrics.arrivals[a.Class]++
-	if s.engine == EngineIncremental {
-		s.incWork[a.Class] += a.Size
-		s.arriveInc(j)
-		// Shadowed-arrival fast path: if the policy's last walk provably
-		// stops before it would reach this job (ArrivalShadowPolicy), the
-		// allocation is unchanged and the refresh is skipped outright. Only
-		// valid while the last applied write-set is still in force —
-		// completions clear incPrevValid.
-		if s.arrShadow != nil && s.incPrevValid && s.incWrites.exhaustedAt >= 0 &&
-			s.arrShadow.ArrivalShadowed(&s.st, s.incWrites.exhaustedAt, a.Class) {
-			return j
-		}
-	}
-	s.allocDirty = true
 	return j
 }
 
 // AdvanceTo advances the simulation clock to time t, processing every
-// completion in (clock, t]. It returns the completions in chronological
-// order; the returned slice is reused by the next call.
+// completion in (clock, t] — including ones landing exactly on the clock
+// or on t. It returns the completions in chronological order; the returned
+// slice is reused by the next call.
 func (s *System) AdvanceTo(t float64) []Completion {
 	if t < s.clock-1e-12 {
 		panic(fmt.Sprintf("sim: AdvanceTo(%v) before clock %v", t, s.clock))
 	}
-	if s.engine == EngineIncremental {
-		return s.advanceToInc(t)
-	}
 	s.records = s.records[:0]
 	for {
-		s.refreshAllocation()
-		done, tc := s.nextCompletion()
-		// Process every completion at or before t — including ones that
-		// land exactly on t or exactly on the current clock (simultaneous
-		// completions depleted by a previous advance), which would
-		// otherwise linger and stall lockstep drivers.
-		if done != nil && tc <= t {
-			s.advanceWork(tc - s.clock)
-			s.complete(done)
+		s.refresh()
+		j, tc := s.peekLive()
+		if j != nil && tc <= t {
+			s.popEvent()
+			s.advanceTime(tc)
+			s.completeJob(j)
+			// Batch simultaneous completions: rates cannot change until the
+			// policy re-runs, so every other live event at exactly tc is
+			// already decided — complete them all now and re-invoke the
+			// policy once for the whole timestamp instead of once per event.
+			// Exact-time ties are what batch/fork-join workloads produce.
+			for {
+				j2, tc2 := s.peekLive()
+				if j2 == nil || tc2 != tc {
+					break
+				}
+				s.popEvent()
+				s.completeJob(j2)
+			}
+			// Class-share refresh deferral: when the advance ends exactly at
+			// this batch's timestamp and every surviving class head is
+			// provably clear of the completion coordinate, the policy re-run
+			// cannot produce another completion inside this AdvanceTo — so
+			// it waits for the next stepping call, where it merges with the
+			// refresh that call performs anyway (allocDirty stays set). For
+			// the completion-then-arrival-at-the-same-instant shape of
+			// lockstep callers this halves the policy work per event.
+			if s.cs != nil && tc == t && s.cs.deferSafe(s) {
+				break
+			}
 			continue
 		}
 		if s.clock < t {
-			s.advanceWork(t - s.clock)
+			s.advanceTime(t)
 		}
 		break
 	}
@@ -560,8 +507,7 @@ func (s *System) AdvanceTo(t float64) []Completion {
 	return s.materializeCompletions()
 }
 
-// appendCompletion is the one completion append site shared by both
-// engines: compact record, response statistics, slot recycling. Callers
+// appendCompletion is the one completion append site: compact record, response statistics, slot recycling. Callers
 // must have settled Remaining and removed the job from its queue.
 func (s *System) appendCompletion(j *Job) {
 	s.records = append(s.records, completionRecord{
@@ -598,56 +544,40 @@ func (s *System) materializeCompletions() []Completion {
 // Drain runs the system until it empties or the clock passes horizon,
 // returning all completions.
 func (s *System) Drain(horizon float64) []Completion {
-	if s.engine == EngineIncremental {
-		return s.drainInc(horizon)
-	}
 	s.records = s.records[:0]
 	for s.NumJobs() > 0 && s.clock < horizon {
-		s.refreshAllocation()
-		done, tc := s.nextCompletion()
-		if done == nil || tc > horizon {
-			s.advanceWork(horizon - s.clock)
+		s.refresh()
+		j, tc := s.peekLive()
+		if j == nil || tc > horizon {
+			s.advanceTime(horizon)
 			s.clock = horizon
 			break
 		}
-		s.advanceWork(tc - s.clock)
-		s.clock = tc
-		s.complete(done)
+		s.popEvent()
+		s.advanceTime(tc)
+		s.completeJob(j)
 	}
 	// Drain's result must survive subsequent stepping, so it gets its own
 	// slice rather than the reused AdvanceTo buffer.
 	return append([]Completion(nil), s.materializeCompletions()...)
 }
 
-// advanceClockOnly integrates metrics and work up to t assuming no
-// completion occurs strictly before t; callers must guarantee that.
-func (s *System) advanceClockOnly(t float64) {
+// advanceClockTo integrates metrics and work up to t assuming no
+// completion strictly before t; completions exactly at t wait for the next
+// AdvanceTo, after the arrival at t has joined the queue.
+func (s *System) advanceClockTo(t float64) {
 	for s.clock < t {
-		s.refreshAllocation()
-		done, tc := s.nextCompletion()
-		if done == nil || tc >= t {
-			s.advanceWork(t - s.clock)
+		s.refresh()
+		j, tc := s.peekLive()
+		if j == nil || tc >= t {
+			s.advanceTime(t)
 			break
 		}
-		s.advanceWork(tc - s.clock)
-		s.complete(done)
+		s.popEvent()
+		s.advanceTime(tc)
+		s.completeJob(j)
 	}
 	s.clock = t
-}
-
-// refreshAllocation re-runs the policy if the job set changed.
-func (s *System) refreshAllocation() {
-	if !s.allocDirty {
-		return
-	}
-	s.allocDirty = false
-	s.st.Time = s.clock
-	s.st.Queues = s.queues
-	for c, q := range s.queues {
-		s.alloc.Classes[c] = resizeZero(s.alloc.Classes[c], len(q))
-	}
-	s.policy.Allocate(&s.st, &s.alloc)
-	s.applyAllocation()
 }
 
 func resizeZero(sl []float64, n int) []float64 {
@@ -659,118 +589,6 @@ func resizeZero(sl []float64, n int) []float64 {
 		sl[i] = 0
 	}
 	return sl
-}
-
-func (s *System) applyAllocation() {
-	const eps = 1e-9
-	total := 0.0
-	for c, q := range s.queues {
-		spec := &s.classes[c]
-		capC := s.caps[c]
-		// Linear and capped speedups satisfy s(a) = a for every feasible
-		// (clamped) allocation, so the dispatch through Speedup.Rate is
-		// hoisted out of the hot loop.
-		identityRate := s.idRate[c]
-		ac := s.alloc.Classes[c]
-		for i, j := range q {
-			a := ac[i]
-			if a < -eps || a > capC+eps {
-				panic(fmt.Sprintf("sim: policy %s allocated %v servers to a %s-class job (cap %v)",
-					s.policy.Name(), a, spec.Speedup, capC))
-			}
-			a = clamp(a, 0, capC)
-			j.servers = a
-			if identityRate {
-				j.rate = a
-			} else {
-				j.rate = spec.Speedup.Rate(a)
-			}
-			total += a
-		}
-	}
-	if total > float64(s.k)+1e-6 {
-		panic(fmt.Sprintf("sim: policy %s allocated %v servers on a %d-server system", s.policy.Name(), total, s.k))
-	}
-	s.metrics.busyRate = math.Min(total, float64(s.k))
-}
-
-// nextCompletion returns the next finishing job under current rates and its
-// absolute finish time, or (nil, +inf) when nothing is running. Candidates
-// are rebuilt into the event queue in class-then-FCFS order; eventq breaks
-// time ties by insertion order, so simultaneous completions resolve exactly
-// like the historical linear scan (lowest class first, FCFS within a class).
-func (s *System) nextCompletion() (*Job, float64) {
-	s.evq.Clear()
-	for _, q := range s.queues {
-		for _, j := range q {
-			switch {
-			case j.Remaining <= 0:
-				// Fully depleted but not yet removed (possible when an
-				// allocation change lands exactly on a finish time):
-				// completes immediately.
-				s.evq.Append(s.clock, j.handle)
-			case j.rate > 0:
-				s.evq.Append(s.clock+j.Remaining/j.rate, j.handle)
-			}
-		}
-	}
-	if s.evq.Empty() {
-		return nil, math.Inf(1)
-	}
-	s.evq.Fix()
-	e := s.evq.Peek()
-	return s.jobs.at(e.Payload), e.Time
-}
-
-// advanceWork depletes remaining sizes over dt at current rates and
-// integrates metrics. The metric integrals and the depletion are fused into
-// one walk per class — the accumulation order over jobs is identical to the
-// historical separate integrate + deplete scans (work and rate sums read
-// each job before it is depleted, in queue order), so the fusion is
-// bit-invisible to the golden set while halving the pointer traffic of the
-// rebuild engine's dominant loop.
-func (s *System) advanceWork(dt float64) {
-	if dt <= 0 {
-		return
-	}
-	m := &s.metrics
-	for c, q := range s.queues {
-		r, w := 0.0, 0.0
-		for _, j := range q {
-			w += j.Remaining
-			if j.rate > 0 {
-				r += j.rate
-				// max(0, rem-rate*dt) via a branch: math.Max is not inlined
-				// and the operands here are never NaN or -0, so the branch is
-				// bit-identical.
-				rem := j.Remaining - j.rate*dt
-				if rem < 0 {
-					rem = 0
-				}
-				j.Remaining = rem
-			}
-		}
-		m.areaN[c] += float64(len(q)) * dt
-		// Between events the class's work declines linearly at its total
-		// service rate, so the exact integral over the segment is the
-		// trapezoid rule with the segment's constant depletion rate.
-		m.areaW[c] += (w - 0.5*r*dt) * dt
-	}
-	m.areaBusy += m.busyRate * dt
-	m.elapsed += dt
-	if m.TrackOccupancy {
-		key := [2]int{min(s.NumClass(0), occupancyCap), min(s.NumClass(1), occupancyCap)}
-		m.occupancy[key] += dt
-	}
-	s.clock += dt
-}
-
-func (s *System) complete(j *Job) {
-	j.Remaining = 0
-	if !s.removeJobQueue(j.Class, j) {
-		panic("sim: completing job not found in system")
-	}
-	s.appendCompletion(j)
 }
 
 // pushQueue appends j to its class queue. While the window has tail

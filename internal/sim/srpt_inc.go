@@ -1,6 +1,6 @@
 package sim
 
-// The remaining-size fast path of the incremental engine: SRPT-style
+// The remaining-size fast path of the stepping engine: SRPT-style
 // policies order jobs by settled remaining size, which the dense fallback
 // could only deliver by settling and re-sorting every resident job — O(n)
 // per event. The engine implements the rule natively instead, around one
@@ -20,10 +20,9 @@ package sim
 // RemainingOrderedPolicy marks policies whose allocation rule is exactly:
 // walk jobs by ascending settled remaining size (ties to the lower class,
 // FCFS within a class), giving each job up to its class cap until the
-// servers run out. The incremental engine executes the rule natively with
-// an indexed heap instead of calling Allocate; the dense face must make
-// the identical decision — the cross-engine equivalence suite holds the
-// two together.
+// servers run out. The engine executes the rule natively with an indexed
+// heap instead of calling Allocate; the dense face must make the identical
+// decision — the engine equivalence suite holds the two together.
 type RemainingOrderedPolicy interface {
 	Policy
 	RemainingOrdered()

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Engine benchmark harness: runs the hot-path benchmarks (two-class and
-# multi-class stepping, the rebuild-vs-incremental occupancy scaling at
-# n in {10, 100, 1k, 10k}, the end-to-end simulator throughput, and the
+# multi-class stepping, the occupancy scaling of the engine against the
+# test-only rebuild reference at n in {10, 100, 1k, 10k} — the
+# "incremental*" and "rebuild*" legs, names kept from when both were
+# production engines — the end-to-end simulator throughput, and the
 # internal/serve loopback serving path — cache-hit and coalesced req/sec) and
 # APPENDS one dated entry to BENCH_engine.json via cmd/benchlog, so the
 # perf trajectory across PRs is preserved (a legacy single-snapshot file is
@@ -16,9 +18,9 @@
 #        scripts/bench.sh profile [benchtime]    (profile mode)
 #
 # Profile mode appends nothing: it reruns the occupancy-scaling hot path
-# (the incremental-engine legs of BenchmarkEngineEventN10k — the constant
-# being attacked; the rebuild legs are O(n)/O(n^2) by design and would
-# drown the profile) under the CPU, allocation and mutex profilers and
+# (the engine's "incremental*" legs of BenchmarkEngineEventN10k — the
+# constant being attacked; the rebuild-reference legs are O(n)/O(n^2) by
+# design and would drown the profile) under the CPU, allocation and mutex profilers and
 # drops flamegraph-ready BENCH_cpu.prof / BENCH_mem.prof / BENCH_mutex.prof
 # (plus the test binary BENCH_bench.test for symbolizing) next to
 # BENCH_engine.json. Inspect with e.g.

@@ -37,12 +37,12 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> cross-engine equivalence gate (two-class preset bit-identical to the frozen pre-unification engine)"
+echo "==> golden gate (rebuild reference bit-identical to the frozen pre-unification engine; the engine bit-identical to its own golden set)"
 go test ./internal/sim -run 'TestGolden' -count=1
 go test ./internal/exp -run 'TestGoldenFigure' -count=1
 
-echo "==> stepping-engine equivalence gate (rebuild vs incremental on arena job storage: identical completion sequences, stats to 1e-9, incremental goldens bit-frozen)"
-go test ./internal/sim -run 'TestEngineEquivalenceMatrix|TestGoldenIncremental' -count=1
+echo "==> engine equivalence gate (engine vs rebuild reference on every fast path and the dense fallback: identical completion sequences, stats to 1e-9)"
+go test ./internal/sim -run 'TestEngineEquivalenceMatrix' -count=1
 go test ./internal/exp -run 'TestEngineSweepEquivalence|TestTailQuantiles' -count=1
 
 echo "==> allocation-regression gate (steady-state stepping <= 1 alloc/event; arena path bounded at n in {100, 10k})"
@@ -68,17 +68,8 @@ if ! cmp "$tmp/pool.json" "$tmp/proc.json"; then
 fi
 echo "    pool and proc ResultSets byte-identical ($(wc -c < "$tmp/pool.json") bytes)"
 
-echo "==> incremental-engine CLI smoke (simulate -engine incremental, -quantiles)"
-"$tmp/simulate" $sweep_flags -engine incremental -quantiles 0.5,0.95,0.999 >/dev/null
-# The incremental engine must also be bit-stable across backends: the same
-# incremental sweep through pool and proc workers must agree byte for byte.
-"$tmp/simulate" $sweep_flags -engine incremental -json "$tmp/pool_inc.json" >/dev/null
-"$tmp/simulate" $sweep_flags -engine incremental -backend proc -procs 2 -json "$tmp/proc_inc.json" >/dev/null
-if ! cmp "$tmp/pool_inc.json" "$tmp/proc_inc.json"; then
-  echo "FAIL: incremental-engine ResultSets differ between -backend pool and -backend proc" >&2
-  exit 1
-fi
-echo "    incremental pool and proc ResultSets byte-identical ($(wc -c < "$tmp/pool_inc.json") bytes)"
+echo "==> CLI quantile smoke (simulate -quantiles)"
+"$tmp/simulate" $sweep_flags -quantiles 0.5,0.95,0.999 >/dev/null
 
 echo "==> networked fabric gate (fabricd dispatcher + 2 worker daemons on loopback)"
 go build -o "$tmp/fabricd" ./cmd/fabricd
@@ -210,14 +201,13 @@ if [ ! -s "$tmp/resultd.addr" ]; then
 fi
 raddr="$(cat "$tmp/resultd.addr")"
 # The spec below is exactly the sweep $sweep_flags makes cmd/simulate build
-# (name "simulate", engine "rebuild", baseSeed 1 are what the flag defaults
-# produce), so the served bytes must equal the pool.json recorded by the
+# (name "simulate" and baseSeed 1 are what the flag defaults produce), so the served bytes must equal the pool.json recorded by the
 # dispatch-backend gate — the "same bytes as simulate -json" contract.
 cat > "$tmp/spec.json" <<'EOF'
 {
   "name": "simulate",
   "grid": {"k": [2], "rho": [0.5, 0.7], "muI": [1, 2], "muE": [1], "policies": ["IF", "EF"]},
-  "reps": 2, "baseSeed": 1, "warmup": 200, "jobs": 2000, "tail": true, "engine": "rebuild"
+  "reps": 2, "baseSeed": 1, "warmup": 200, "jobs": 2000, "tail": true
 }
 EOF
 # 8 concurrent identical POSTs: the coalescer must fold them into ONE
@@ -308,7 +298,7 @@ go test -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/fabric
 echo "==> go test -fuzz=FuzzFit -fuzztime=10s ./internal/dist"
 go test -fuzz=FuzzFit -fuzztime=10s ./internal/dist
 
-echo "==> sparse-vs-dense fuzz gate (EQUI class shares, SRPT indexed heap, arena handle recycling)"
+echo "==> fast-path-vs-reference fuzz gate (EQUI class shares, SRPT indexed heap vs the rebuild reference)"
 go test -fuzz=FuzzSparseShareSet -fuzztime=10s ./internal/sim
 
 echo "==> profiling-harness smoke (scripts/bench.sh profile must drop loadable, non-empty profiles)"
@@ -336,8 +326,10 @@ if [ "${BENCH_GATE:-1}" != "0" ]; then
   go test ./internal/serve -run '^$' -bench 'BenchmarkServe' -timeout 0 \
     -benchtime 1s -count "${BENCH_COUNT:-3}" | tee -a "$tmp/bench.txt"
   go run ./cmd/benchlog -check -file BENCH_engine.json < "$tmp/bench.txt"
-  # The structure-specific fast paths must beat the rebuild engine >= 10x at
-  # n = 10k and run allocation-free in steady state.
+  # The structure-specific fast paths must beat the rebuild reference >= 10x
+  # at n = 10k and run allocation-free in steady state. The leg names keep
+  # their history: "rebuild-*" runs the test-only reference engine,
+  # "incremental-*" the engine.
   awk '
     /^BenchmarkEngineEventN10k\// {
       name = $1; sub(/^BenchmarkEngineEventN10k\//, "", name); sub(/-[0-9]+$/, "", name)
@@ -351,9 +343,9 @@ if [ "${BENCH_GATE:-1}" != "0" ]; then
         pol = pols[p]
         reb = ns["rebuild-" pol]; inc = ns["incremental-" pol]
         if (reb == 0 || inc == 0) { printf "FAIL: missing N10k benchmarks for %s\n", pol; fail = 1; continue }
-        if (reb / inc < 10) { printf "FAIL: incremental %s only %.1fx faster than rebuild at n=10k (want >= 10x)\n", pol, reb / inc; fail = 1 }
-        else printf "    incremental %s: %.0fx faster than rebuild at n=10k\n", pol, reb / inc
-        if (alloc["incremental-" pol] != 0) { printf "FAIL: incremental %s allocates %d allocs/op in steady state (want 0)\n", pol, alloc["incremental-" pol]; fail = 1 }
+        if (reb / inc < 10) { printf "FAIL: engine %s only %.1fx faster than the rebuild reference at n=10k (want >= 10x)\n", pol, reb / inc; fail = 1 }
+        else printf "    engine %s: %.0fx faster than the rebuild reference at n=10k\n", pol, reb / inc
+        if (alloc["incremental-" pol] != 0) { printf "FAIL: engine %s allocates %d allocs/op in steady state (want 0)\n", pol, alloc["incremental-" pol]; fail = 1 }
       }
       exit fail
     }' "$tmp/bench.txt"
