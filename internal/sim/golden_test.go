@@ -1,7 +1,7 @@
 package sim_test
 
-// Frozen, bit-exact engine output on fixed seeds. Two golden sets replay
-// the same 3000-arrival two-class trace:
+// Frozen, bit-exact engine output on fixed input. Two golden sets replay
+// the same 3000-arrival two-class trace, testdata/golden_arrivals.txt:
 //
 //   - golden_trace_* pin the rebuild reference engine (sim.RefSystem). The
 //     files were generated by the pre-unification two-class engine, and
@@ -12,20 +12,31 @@ package sim_test
 //     re-derivation is the O(n) cost it removes. Agreement between the two
 //     engines is pinned separately, to 1e-9, by engine_equiv_test.go.
 //
-// Regenerate with
+// The trace is frozen input, not output: it holds the first 3000 arrivals
+// of workload.ModelForLoad(4, 0.8, 1.5, 1).Trace(11, ·) as drawn by the
+// inversion exponential sampler that preceded the ziggurat, one arrival a
+// line (time, class, size; floats in hex). Keeping it as data means a
+// change to the variate layer cannot move these goldens: they pin the
+// engines alone. -update never rewrites it.
+//
+// Regenerate the goldens with
 //
 //	go test ./internal/sim -run 'TestGolden' -update
 //
 // only when an intentional semantic change to an engine is being made, and
-// say so loudly in the change description.
+// say so loudly in the change description. TestGoldenIncrementalRunPipeline
+// draws from the live workload source, so it also follows the random
+// stream: a change to internal/xrand's output regenerates it, and only it.
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -95,7 +106,7 @@ func computeGoldenTrace(t *testing.T, polName string, mk newStepper) goldenTrace
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := model.Trace(11, 3000)
+	trace := goldenArrivals(t)
 	sys := mk(4, sim.TwoClassSpecs(), pol)
 	g := goldenTrace{Policy: polName}
 	record := func(done []sim.Completion) {
@@ -121,6 +132,54 @@ func computeGoldenTrace(t *testing.T, polName string, mk newStepper) goldenTrace
 	g.Utilization = hex(m.Utilization(4))
 	g.Count = m.TotalCompletions()
 	return g
+}
+
+// goldenArrivalsFile is the frozen input trace every trace golden replays.
+const goldenArrivalsFile = "golden_arrivals.txt"
+
+// goldenArrivals reads the frozen input trace; see the file comment.
+func goldenArrivals(t *testing.T) []sim.Arrival {
+	t.Helper()
+	f, err := os.Open(goldenPath(goldenArrivalsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []sim.Arrival
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 3 {
+			t.Fatalf("%s line %d: want 3 fields, got %q", goldenArrivalsFile, len(out)+1, sc.Text())
+		}
+		tm, err1 := strconv.ParseFloat(fields[0], 64)
+		class, err2 := strconv.Atoi(fields[1])
+		size, err3 := strconv.ParseFloat(fields[2], 64)
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Fatalf("%s line %d: %q does not parse", goldenArrivalsFile, len(out)+1, sc.Text())
+		}
+		out = append(out, sim.Arrival{Time: tm, Class: sim.Class(class), Size: size})
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestGoldenArrivalsWellFormed guards the frozen input itself: 3000
+// time-ordered two-class arrivals with positive sizes.
+func TestGoldenArrivalsWellFormed(t *testing.T) {
+	trace := goldenArrivals(t)
+	if len(trace) != 3000 {
+		t.Fatalf("%s holds %d arrivals, want 3000", goldenArrivalsFile, len(trace))
+	}
+	prev := 0.0
+	for i, a := range trace {
+		if a.Time < prev || a.Size <= 0 || (a.Class != sim.Inelastic && a.Class != sim.Elastic) {
+			t.Fatalf("arrival %d malformed or out of order: %+v (previous time %v)", i, a, prev)
+		}
+		prev = a.Time
+	}
 }
 
 func goldenPath(name string) string {
