@@ -10,7 +10,10 @@
 // arrival processes) consume independent random streams.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // mult is the 128-bit multiplier used by the PCG-64 family, split into two
 // 64-bit halves (high, low).
@@ -96,23 +99,8 @@ func mul128(aHi, aLo, bHi, bLo uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// mul64 returns the 128-bit product of a and b.
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	w0 := t & mask
-	k := t >> 32
-	t = aHi*bLo + k
-	w1 := t & mask
-	w2 := t >> 32
-	t = aLo*bHi + w1
-	k = t >> 32
-	lo = t<<32 + w0
-	hi = aHi*bHi + w2 + k
-	return hi, lo
-}
+// mul64 returns the 128-bit product of a and b (one MULQ on amd64).
+func mul64(a, b uint64) (hi, lo uint64) { return bits.Mul64(a, b) }
 
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *Rand) Uint64() uint64 {
