@@ -81,22 +81,12 @@ func (r *Rand) addSeed(hi, lo uint64) {
 
 // step advances the 128-bit LCG state.
 func (r *Rand) step() {
-	// 128-bit multiply of state by mult.
-	hi, lo := mul128(r.stateHi, r.stateLo, multHi, multLo)
+	// 128-bit multiply of state by mult, mod 2^128.
+	hi, lo := bits.Mul64(r.stateLo, multLo)
+	hi += r.stateLo*multHi + r.stateHi*multLo
 	// 128-bit add of increment.
-	lo += r.incLo
-	if lo < r.incLo {
-		hi++
-	}
-	hi += r.incHi
-	r.stateHi, r.stateLo = hi, lo
-}
-
-// mul128 computes (aHi,aLo) * (bHi,bLo) mod 2^128.
-func mul128(aHi, aLo, bHi, bLo uint64) (hi, lo uint64) {
-	hi, lo = mul64(aLo, bLo)
-	hi += aLo*bHi + aHi*bLo
-	return hi, lo
+	lo, carry := bits.Add64(lo, r.incLo, 0)
+	r.stateHi, r.stateLo = hi+r.incHi+carry, lo
 }
 
 // mul64 returns the 128-bit product of a and b (one MULQ on amd64).
@@ -107,9 +97,7 @@ func (r *Rand) Uint64() uint64 {
 	oldHi, oldLo := r.stateHi, r.stateLo
 	r.step()
 	// XSL-RR output function: xor the halves, rotate by the top 6 bits.
-	xored := oldHi ^ oldLo
-	rot := uint(oldHi >> 58)
-	return xored>>rot | xored<<((64-rot)&63)
+	return bits.RotateLeft64(oldHi^oldLo, -int(oldHi>>58))
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
