@@ -39,18 +39,18 @@ func TestKeyAndRepSeedPinned(t *testing.T) {
 	}{
 		{
 			Cell{K: 4, Rho: 0.7, MuI: 2, MuE: 1, Policy: "IF"},
-			"exp2|k=4 rho=0.7 muI=2 muE=1 policy=IF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
-			"8366008bb4d3084c", 2917704610814949436, 5240475585674092860,
+			"exp3|k=4 rho=0.7 muI=2 muE=1 policy=IF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
+			"2285c44792efb56f", 2917704610814949436, 5240475585674092860,
 		},
 		{
 			Cell{K: 8, Rho: 0.9, Scenario: "mapreduce", Policy: "EF"},
-			"exp2|scenario=mapreduce k=8 rho=0.9 policy=EF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
-			"52b58cdc4c336a68", 7263033840379087353, 4116425416877151070,
+			"exp3|scenario=mapreduce k=8 rho=0.9 policy=EF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
+			"dfbdedfeb9041e4d", 7263033840379087353, 4116425416877151070,
 		},
 		{
 			Cell{K: 8, Rho: 0.5, Mix: "threeclass", Policy: "LFF"},
-			"exp2|mix=threeclass k=8 rho=0.5 policy=LFF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
-			"bfa31b31638621eb", 13083668052069352814, 2653965135885897409,
+			"exp3|mix=threeclass k=8 rho=0.5 policy=LFF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0",
+			"24a25385e2ff82a0", 13083668052069352814, 2653965135885897409,
 		},
 	}
 	for _, tc := range cases {
@@ -102,11 +102,13 @@ func TestKeyAndRepSeedPinned(t *testing.T) {
 	}
 }
 
-// TestOldResultsVersionMisses: a cache written under the exp1 results
-// version — cell results and task outcomes, keyed as the retired rebuild
-// engine's code keyed them — must serve none of its entries to this code.
-// Their numbers differ from a fresh run's (by ~1e-14 relative, but not
-// byte-identical), so a hit would pass old results off as current ones.
+// TestOldResultsVersionMisses: a cache written under an older results
+// version — cell results and task outcomes, keyed as older code keyed them
+// — must serve none of its entries to this code. exp1 keyed the retired
+// rebuild engine's numbers (which differ from a fresh run's by ~1e-14
+// relative) and exp2 those drawn with the inversion exponential sampler
+// (a different random stream), so a hit would pass old results off as
+// current ones.
 func TestOldResultsVersionMisses(t *testing.T) {
 	sw := Sweep{Name: "pin", Reps: 2, BaseSeed: 7, Warmup: 100, Jobs: 1000}
 	c := Cell{K: 4, Rho: 0.7, MuI: 2, MuE: 1, Policy: "IF"}
@@ -115,53 +117,60 @@ func TestOldResultsVersionMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The exp1 derivations of the same identities.
-	const exp1CellKey = "0d5dd4442fb4fa81"
-	if got := fmt.Sprintf("%016x", fnvHash("exp1|k=4 rho=0.7 muI=2 muE=1 policy=IF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0")); got != exp1CellKey {
-		t.Fatalf("exp1 cell key = %s, want %s", got, exp1CellKey)
-	}
-	exp1SimKey := exp1CellKey + "|rep=0"
-	exp1DomKey := "dominance|" + string(domJSON)
+	const cellKeyString = "k=4 rho=0.7 muI=2 muE=1 policy=IF|reps=2|seed=7|warmup=100|jobs=1000|auto=false|batches=0"
+	// The older derivations of the same identities: exp1 spec keys carried
+	// no version at all.
+	for _, old := range []struct {
+		version, cellKey, domKey string
+	}{
+		{"exp1", "0d5dd4442fb4fa81", "dominance|" + string(domJSON)},
+		{"exp2", "8366008bb4d3084c", "exp2|dominance|" + string(domJSON)},
+	} {
+		t.Run(old.version, func(t *testing.T) {
+			if got := fmt.Sprintf("%016x", fnvHash(old.version+"|"+cellKeyString)); got != old.cellKey {
+				t.Fatalf("%s cell key = %s, want %s", old.version, got, old.cellKey)
+			}
+			path := filepath.Join(t.TempDir(), old.version+".jsonl")
+			cache, err := OpenFileCache(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cache.Put(old.cellKey, CellResult{Cell: c, ET: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cache.PutOutcome(old.cellKey+"|rep=0", Outcome{Rep: &Replication{Rep: 0, MeanT: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cache.PutOutcome(old.domKey, Outcome{Dominance: &DominanceRun{}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cache.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	path := filepath.Join(t.TempDir(), "exp1.jsonl")
-	old, err := OpenFileCache(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Put(exp1CellKey, CellResult{Cell: c, ET: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.PutOutcome(exp1SimKey, Outcome{Rep: &Replication{Rep: 0, MeanT: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.PutOutcome(exp1DomKey, Outcome{Dominance: &DominanceRun{}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	fc, err := OpenFileCache(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fc.Close()
-	if fc.Len() != 1 || fc.OutcomeLen() != 2 {
-		t.Fatalf("exp1 cache loaded %d cells, %d outcomes; want 1, 2", fc.Len(), fc.OutcomeLen())
-	}
-	if _, ok := fc.Get(sw.Key(c)); ok {
-		t.Error("cell result cached under exp1 served as current")
-	}
-	simKey, _ := TaskKey(Task{Sim: &TaskSpec{Cell: c, Rep: 0, Seed: sw.RepSeed(c, 0), Key: sw.Key(c)}})
-	if _, ok := fc.GetOutcome(simKey); ok {
-		t.Error("sim outcome cached under exp1 served as current")
-	}
-	domKey, _ := TaskKey(Task{Dominance: dom})
-	if _, ok := fc.GetOutcome(domKey); ok {
-		t.Error("dominance outcome cached under exp1 served as current")
-	}
-	if !strings.HasPrefix(domKey, resultsVersion+"|dominance|") {
-		t.Errorf("dominance TaskKey %q lacks the results version", domKey)
+			fc, err := OpenFileCache(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fc.Close()
+			if fc.Len() != 1 || fc.OutcomeLen() != 2 {
+				t.Fatalf("%s cache loaded %d cells, %d outcomes; want 1, 2", old.version, fc.Len(), fc.OutcomeLen())
+			}
+			if _, ok := fc.Get(sw.Key(c)); ok {
+				t.Errorf("cell result cached under %s served as current", old.version)
+			}
+			simKey, _ := TaskKey(Task{Sim: &TaskSpec{Cell: c, Rep: 0, Seed: sw.RepSeed(c, 0), Key: sw.Key(c)}})
+			if _, ok := fc.GetOutcome(simKey); ok {
+				t.Errorf("sim outcome cached under %s served as current", old.version)
+			}
+			domKey, _ := TaskKey(Task{Dominance: dom})
+			if _, ok := fc.GetOutcome(domKey); ok {
+				t.Errorf("dominance outcome cached under %s served as current", old.version)
+			}
+			if !strings.HasPrefix(domKey, resultsVersion+"|dominance|") {
+				t.Errorf("dominance TaskKey %q lacks the results version", domKey)
+			}
+		})
 	}
 }
 

@@ -83,9 +83,23 @@ func diffResultSets(t *testing.T, aName, bName string, ra, rb *ResultSet) {
 }
 
 // rebuildSweepsGolden holds the ResultSets of the rebuild stepping engine
-// for the two gate grids of TestEngineSweepEquivalence, written by that
-// engine before its retirement. It cannot be regenerated: the rebuild loop
-// now lives only in internal/sim's tests, out of the sweep layer's reach.
+// for the two gate grids of TestEngineSweepEquivalence. The rebuild loop
+// now lives only in internal/sim's tests, out of the sweep layer's reach,
+// so the file is written by the last commit where it was the sweep
+// default. When the random stream changes (internal/xrand), regenerate it:
+//
+//  1. Check out commit 718b81c into a separate directory (git worktree or
+//     git archive). Its internal/workload and internal/dist match this
+//     tree's; if they have changed since, copy them across as well.
+//  2. Copy this tree's internal/xrand/xrand.go over the checkout's.
+//  3. In the checkout, add a test to package exp that runs
+//     engineGateSweep() once per grid of TestEngineSweepEquivalence (same
+//     order; Options{}, so Sweep.Engine is the default "rebuild") and
+//     writes the []*ResultSet with json.MarshalIndent(sets, "", "  ")
+//     plus a trailing newline to testdata/rebuild_engine_sweeps.json here.
+//
+// Run against the unchanged stream, that recipe reproduces the file byte
+// for byte.
 const rebuildSweepsGolden = "rebuild_engine_sweeps.json"
 
 // TestEngineSweepEquivalence runs the gate sweep and a class-mix grid (so

@@ -33,7 +33,7 @@ func ExampleRun() {
 		fmt.Printf("rho=%.1f E[T]=%.3f\n", cr.Cell.Rho, cr.ET)
 	}
 	// Output:
-	// rho=0.5 E[T]=0.512
-	// rho=0.7 E[T]=0.722
-	// rho=0.9 E[T]=1.662
+	// rho=0.5 E[T]=0.520
+	// rho=0.7 E[T]=0.733
+	// rho=0.9 E[T]=1.810
 }

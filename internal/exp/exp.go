@@ -353,8 +353,9 @@ func (sw Sweep) validate() error {
 // (keyString) and the spec keys of the point tasks (specKey). Bump it
 // whenever the numbers a fixed key produces change, so caches written by
 // older code miss instead of serving old results as current ones. exp1
-// keyed the results of the retired rebuild stepping engine.
-const resultsVersion = "exp2"
+// keyed the results of the retired rebuild stepping engine; exp2 those of
+// the inversion exponential sampler that preceded xrand's ziggurat.
+const resultsVersion = "exp3"
 
 // Key returns the config hash identifying a completed cell result in a
 // Cache. It covers everything that determines the numbers: the cell itself,

@@ -8,6 +8,16 @@
 // seeding behavior of math/rand, and exposes explicit stream derivation so
 // that independent stochastic processes (e.g. the elastic and inelastic
 // arrival processes) consume independent random streams.
+//
+// The generator's 128-bit LCG step uses math/bits.Mul64 (one hardware
+// multiply on amd64), and Uint64 is small enough to inline. Exp, which
+// draws every inter-arrival time and exponential job size in the
+// simulator, is a 256-layer Marsaglia-Tsang ziggurat: one Uint64 per
+// sample on the fast path, with an exact r - log U fallback in the tail
+// beyond r = 7.697 and an e^-x test in the wedges. Its tables are built
+// once at package init from the closed form, and TestZigguratTablesPinned
+// fails loudly if a toolchain or architecture change to math.Exp or
+// math.Log moves them.
 package xrand
 
 import (
@@ -134,11 +144,67 @@ func (r *Rand) Intn(n int) int {
 
 // Exp returns an exponentially distributed value with the given rate
 // (mean 1/rate). It panics if rate <= 0.
+//
+// It is a 256-layer ziggurat (Marsaglia & Tsang 2000). One Uint64 feeds
+// the fast path: its low 8 bits pick a layer and its top 53 bits the
+// abscissa, accepted outright when it lies inside the curve's rectangle
+// (97.8% of draws). Otherwise the draw falls in the base layer's tail
+// beyond zigR, sampled exactly as zigR - log U by memorylessness, or in a
+// layer's wedge, accepted when a second uniform lies under e^-x.
 func (r *Rand) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("xrand: Exp with non-positive rate")
 	}
-	return -math.Log(r.Float64Open()) / rate
+	for {
+		u := r.Uint64()
+		i := u & 0xff
+		j := u >> 11
+		// The +0.5 centres the abscissa in its grid cell, so x > 0.
+		x := (float64(j) + 0.5) * zigW[i]
+		if j < zigK[i] {
+			return x / rate
+		}
+		if i == 0 {
+			return (zigR - math.Log(r.Float64Open())) / rate
+		}
+		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-x) {
+			return x / rate
+		}
+	}
+}
+
+// Ziggurat tables for Exp: 256 layers of equal area zigV under e^-x, the
+// base layer (0) reaching to zigR and carrying the tail beyond it. Layer
+// i >= 1 spans heights zigF[i]..zigF[i-1] out to its right edge x_i, with
+// x_255 = zigR and x_0 = 0 (zigF[0] = 1).
+const (
+	zigR = 7.69711747013104972
+	zigV = 3.949659822581572e-3
+)
+
+var (
+	zigK [256]uint64  // fast-path bound: x_{i-1}/x_i scaled to 53 bits
+	zigW [256]float64 // abscissa scale: the layer's width / 2^53
+	zigF [256]float64 // e^-x_i
+)
+
+func init() {
+	const m = 1 << 53
+	x := zigR
+	base := zigV / math.Exp(-x) // base layer width: rectangle plus tail
+	zigK[0] = uint64(x / base * m)
+	zigW[0] = base / m
+	zigF[0] = 1
+	zigW[255] = x / m
+	zigF[255] = math.Exp(-x)
+	for i := 254; i >= 1; i-- {
+		outer := x
+		x = -math.Log(zigV/x + math.Exp(-x))
+		zigK[i+1] = uint64(x / outer * m)
+		zigW[i] = x / m
+		zigF[i] = math.Exp(-x)
+	}
+	zigK[1] = 0 // the top layer is all wedge
 }
 
 // Bernoulli returns true with probability p.
