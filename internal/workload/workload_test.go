@@ -200,3 +200,33 @@ func TestInvalidModelPanics(t *testing.T) {
 	}()
 	NewModel(0, 1, 1, 1, 1)
 }
+
+// BenchmarkPoissonSourceNext is the per-arrival cost of the paper's
+// two-class source: one exponential inter-arrival draw, one exponential
+// size draw and the two-way merge. It is the variate layer's share of a
+// paper-grid sweep (the workload.ns_per_arrival of the end-to-end trace).
+func BenchmarkPoissonSourceNext(b *testing.B) {
+	src := ModelForLoad(4, 0.7, 1.5, 1).Source(1)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		a, _ := src.Next()
+		sink += a.Size
+	}
+	_ = sink
+}
+
+// BenchmarkMixSourceNext is the per-arrival cost of an N-class mix source
+// (four classes merged through the eventq heap).
+func BenchmarkMixSourceNext(b *testing.B) {
+	mix, err := MixByName("cappedladder", 8, 0.9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := mix.Source(1)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		a, _ := src.Next()
+		sink += a.Size
+	}
+	_ = sink
+}

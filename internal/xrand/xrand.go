@@ -167,7 +167,9 @@ func (r *Rand) Exp(rate float64) float64 {
 		if i == 0 {
 			return (zigR - math.Log(r.Float64Open())) / rate
 		}
-		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-x) {
+		// The conversion keeps the product from fusing into an FMA on
+		// architectures that have one, so every platform rounds alike.
+		if zigF[i]+float64(r.Float64()*(zigF[i-1]-zigF[i])) < math.Exp(-x) {
 			return x / rate
 		}
 	}
@@ -183,7 +185,7 @@ const (
 )
 
 var (
-	zigK [256]uint64  // fast-path bound: x_{i-1}/x_i scaled to 53 bits
+	zigK [256]uint64  // fast-path bound: x_{i-1}/x_i (layer 0: zigR/width) scaled to 53 bits
 	zigW [256]float64 // abscissa scale: the layer's width / 2^53
 	zigF [256]float64 // e^-x_i
 )
@@ -204,7 +206,7 @@ func init() {
 		zigW[i] = x / m
 		zigF[i] = math.Exp(-x)
 	}
-	zigK[1] = 0 // the top layer is all wedge
+	// zigK[1] stays 0 (x_0 = 0): the top layer is all wedge.
 }
 
 // Bernoulli returns true with probability p.
