@@ -166,22 +166,6 @@ func goldenArrivals(t *testing.T) []sim.Arrival {
 	return out
 }
 
-// TestGoldenArrivalsWellFormed guards the frozen input itself: 3000
-// time-ordered two-class arrivals with positive sizes.
-func TestGoldenArrivalsWellFormed(t *testing.T) {
-	trace := goldenArrivals(t)
-	if len(trace) != 3000 {
-		t.Fatalf("%s holds %d arrivals, want 3000", goldenArrivalsFile, len(trace))
-	}
-	prev := 0.0
-	for i, a := range trace {
-		if a.Time < prev || a.Size <= 0 || (a.Class != sim.Inelastic && a.Class != sim.Elastic) {
-			t.Fatalf("arrival %d malformed or out of order: %+v (previous time %v)", i, a, prev)
-		}
-		prev = a.Time
-	}
-}
-
 func goldenPath(name string) string {
 	return filepath.Join("testdata", name)
 }

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Engine benchmark harness: runs the hot-path benchmarks (two-class and
-# multi-class stepping, the occupancy scaling of the engine against the
-# test-only rebuild reference at n in {10, 100, 1k, 10k} — the
-# "incremental*" and "rebuild*" legs, names kept from when both were
-# production engines — the end-to-end simulator throughput, and the
-# internal/serve loopback serving path — cache-hit and coalesced req/sec) and
-# APPENDS one dated entry to BENCH_engine.json via cmd/benchlog, so the
-# perf trajectory across PRs is preserved (a legacy single-snapshot file is
-# migrated into the history's first entry automatically).
+# Engine benchmark harness: runs the hot-path benchmarks and APPENDS one
+# dated entry to BENCH_engine.json via cmd/benchlog, so the perf trajectory
+# across PRs is preserved. The benchmarks are two-class and multi-class
+# stepping; the occupancy scaling of the engine against the test-only
+# rebuild reference at n in {10, 100, 1k, 10k} (the "incremental*" and
+# "rebuild*" legs, names kept from when both were production engines); the
+# end-to-end simulator throughput; the variate layer (xrand's Uint64 and
+# Exp, one arrival of the two-class and the mix source); and the
+# internal/serve loopback serving path (cache-hit and coalesced req/sec).
+# A legacy single-snapshot file is migrated into the history's first entry
+# automatically.
 #
 # Each benchmark runs BENCH_COUNT times (default 3) and benchlog records the
 # fastest sample, so the history entries — the baselines `benchlog -check`
@@ -56,6 +58,14 @@ echo "==> go test -bench Engine/Throughput (-benchtime $BENCHTIME, best of $BENC
 go test ./internal/sim -run '^$' -bench 'BenchmarkEngineEvent' -timeout 0 \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
 go test . -run '^$' -bench 'BenchmarkSimulatorThroughput' -timeout 0 \
+  -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
+
+echo "==> go test -bench variate layer (-benchtime $BENCHTIME, best of $BENCH_COUNT)"
+# Per-variate cost: the raw PCG draw, the ziggurat exponential, and one
+# arrival of the two-class and the four-class mix source.
+go test ./internal/xrand -run '^$' -bench 'BenchmarkUint64|BenchmarkExp' -timeout 0 \
+  -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
+go test ./internal/workload -run '^$' -bench 'BenchmarkPoissonSourceNext|BenchmarkMixSourceNext' -timeout 0 \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
 
 echo "==> go test -bench BenchmarkServe (-benchtime $BENCHTIME, best of $BENCH_COUNT)"
