@@ -98,25 +98,20 @@ func (sw Sweep) runReplication(c Cell, rep int) (r Replication, err error) {
 		if rr == nil {
 			return
 		}
-		r.P99 = zeroNaN(rr.QuantileAll(0.99))
+		// One sort per class: p99 first, then the configured quantiles.
+		all, perClass := rr.Quantiles(append([]float64{0.99}, sw.TailQuantiles...))
+		r.P99 = zeroNaN(all[0])
 		r.P99PerClass = make([]float64, numClasses)
 		for cl := range r.P99PerClass {
-			r.P99PerClass[cl] = zeroNaN(rr.Quantile(sim.Class(cl), 0.99))
+			r.P99PerClass[cl] = zeroNaN(perClass[cl][0])
 		}
 		if len(sw.TailQuantiles) == 0 {
 			return
 		}
-		r.Quantiles = make([]float64, len(sw.TailQuantiles))
-		for i, q := range sw.TailQuantiles {
-			r.Quantiles[i] = zeroNaN(rr.QuantileAll(q))
-		}
+		r.Quantiles = zeroNaNs(all[1:])
 		r.QuantilesPerClass = make([][]float64, numClasses)
 		for cl := range r.QuantilesPerClass {
-			qs := make([]float64, len(sw.TailQuantiles))
-			for i, q := range sw.TailQuantiles {
-				qs[i] = zeroNaN(rr.Quantile(sim.Class(cl), q))
-			}
-			r.QuantilesPerClass[cl] = qs
+			r.QuantilesPerClass[cl] = zeroNaNs(perClass[cl][1:])
 		}
 	}
 
@@ -207,6 +202,14 @@ func zeroNaN(v float64) float64 {
 		return 0
 	}
 	return v
+}
+
+// zeroNaNs applies zeroNaN to every element in place.
+func zeroNaNs(vs []float64) []float64 {
+	for i, v := range vs {
+		vs[i] = zeroNaN(v)
+	}
+	return vs
 }
 
 // CellResult aggregates a cell's replications. All aggregates are computed

@@ -1,9 +1,10 @@
 package sim
 
 import (
-	"math"
-	"sort"
+	"cmp"
+	"slices"
 
+	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -76,35 +77,77 @@ func (rr *ResponseRecorder) Seen(c Class) int64 {
 // Quantile returns the q-quantile of the recorded class-c response times
 // (NaN when empty or never observed).
 func (rr *ResponseRecorder) Quantile(c Class, q float64) float64 {
-	if c < 0 || int(c) >= len(rr.samples) {
-		return math.NaN()
-	}
-	return quantile(append([]float64(nil), rr.samples[c]...), q)
+	return stats.SortedQuantile(rr.sorted(c), q)
 }
 
 // QuantileAll returns the q-quantile across all classes.
 func (rr *ResponseRecorder) QuantileAll(q float64) float64 {
-	var merged []float64
-	for _, s := range rr.samples {
-		merged = append(merged, s...)
-	}
-	return quantile(merged, q)
+	return stats.SortedQuantile(mergeSorted(rr.sortedClasses()), q)
 }
 
-// quantile sorts its (owned) argument and interpolates the q-quantile.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
+// Quantiles returns each of the qs quantiles over all classes and, in
+// perClass[c], over class c (NaN for a class never observed), sorting each
+// class's samples once.
+func (rr *ResponseRecorder) Quantiles(qs []float64) (all []float64, perClass [][]float64) {
+	classes := rr.sortedClasses()
+	quantiles := func(sorted []float64) []float64 {
+		out := make([]float64, len(qs))
+		for i, q := range qs {
+			out[i] = stats.SortedQuantile(sorted, q)
+		}
+		return out
 	}
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
+	perClass = make([][]float64, len(classes))
+	for c, s := range classes {
+		perClass[c] = quantiles(s)
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return quantiles(mergeSorted(classes)), perClass
+}
+
+// sorted returns a sorted copy of class c's samples (nil for a class never
+// observed); the reservoir keeps its slot order.
+func (rr *ResponseRecorder) sorted(c Class) []float64 {
+	if c < 0 || int(c) >= len(rr.samples) {
+		return nil
+	}
+	s := slices.Clone(rr.samples[c])
+	slices.Sort(s)
+	return s
+}
+
+func (rr *ResponseRecorder) sortedClasses() [][]float64 {
+	classes := make([][]float64, len(rr.samples))
+	for c := range classes {
+		classes[c] = rr.sorted(Class(c))
+	}
+	return classes
+}
+
+// mergeSorted merges ascending slices in the order slices.Sort uses (NaN
+// first), so the result equals sorting their concatenation: ties are equal
+// values, and responses are never NaN or negative zero.
+func mergeSorted(parts [][]float64) []float64 {
+	var out []float64
+	for _, p := range parts {
+		if len(out) == 0 {
+			out = p
+			continue
+		}
+		merged := make([]float64, 0, len(out)+len(p))
+		i, j := 0, 0
+		for i < len(out) && j < len(p) {
+			if cmp.Less(p[j], out[i]) {
+				merged = append(merged, p[j])
+				j++
+			} else {
+				merged = append(merged, out[i])
+				i++
+			}
+		}
+		merged = append(merged, out[i:]...)
+		out = append(merged, p[j:]...)
+	}
+	return out
 }
 
 // RunWithRecorder is sim.Run with a percentile recorder attached to the

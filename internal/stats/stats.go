@@ -7,7 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Summary accumulates streaming first/second moments with Welford's
@@ -99,14 +99,21 @@ func BatchMeans(series []float64, nbatch int) (*Summary, error) {
 // Quantile returns the q-quantile (0 <= q <= 1) of the data by linear
 // interpolation; the input is not modified.
 func Quantile(data []float64, q float64) float64 {
-	if len(data) == 0 {
+	sorted := slices.Clone(data)
+	slices.Sort(sorted)
+	return SortedQuantile(sorted, q)
+}
+
+// SortedQuantile returns the q-quantile (0 <= q <= 1) of ascending data by
+// linear interpolation between the order statistics around q·(n-1); NaN
+// when the data is empty.
+func SortedQuantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return math.NaN()
 	}
 	if q < 0 || q > 1 {
 		panic("stats: quantile out of [0,1]")
 	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
 	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
