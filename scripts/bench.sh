@@ -6,8 +6,10 @@
 # rebuild reference at n in {10, 100, 1k, 10k} (the "incremental*" and
 # "rebuild*" legs, names kept from when both were production engines); the
 # end-to-end simulator throughput; the variate layer (xrand's Uint64 and
-# Exp, one arrival of the two-class and the mix source); and the
-# internal/serve loopback serving path (cache-hit and coalesced req/sec).
+# Exp, one arrival of the two-class and the mix source); the series
+# statistics (ESS, MSER-5, batch means) and the tail recorder's quantiles;
+# and the internal/serve loopback serving path (cache-hit and coalesced
+# req/sec).
 # A legacy single-snapshot file is migrated into the history's first entry
 # automatically.
 #
@@ -66,6 +68,15 @@ echo "==> go test -bench variate layer (-benchtime $BENCHTIME, best of $BENCH_CO
 go test ./internal/xrand -run '^$' -bench 'BenchmarkUint64|BenchmarkExp' -timeout 0 \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
 go test ./internal/workload -run '^$' -bench 'BenchmarkPoissonSourceNext|BenchmarkMixSourceNext' -timeout 0 \
+  -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
+
+echo "==> go test -bench series statistics and tail recorder (-benchtime $BENCHTIME, best of $BENCH_COUNT)"
+# Per-replication cost of a series-CI sweep: the effective sample size of a
+# slowly decorrelating 10k series, MSER-5 trimming and batch means, and
+# the recorder's tail quantiles over 10k completions.
+go test ./internal/stats -run '^$' -bench 'BenchmarkEffectiveSampleSize|BenchmarkMSER5Trim|BenchmarkBatchMeans' -timeout 0 \
+  -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
+go test ./internal/sim -run '^$' -bench 'BenchmarkRecorderQuantiles' -timeout 0 \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCH_COUNT" | tee -a "$RAW"
 
 echo "==> go test -bench BenchmarkServe (-benchtime $BENCHTIME, best of $BENCH_COUNT)"

@@ -308,6 +308,9 @@ go test -fuzz=FuzzFit -fuzztime=10s ./internal/dist
 echo "==> fast-path-vs-reference fuzz gate (EQUI class shares, SRPT indexed heap vs the rebuild reference)"
 go test -fuzz=FuzzSparseShareSet -fuzztime=10s ./internal/sim
 
+echo "==> autocorrelation fuzz gate (blocked-lag ESS vs the per-lag reference, bit for bit)"
+go test -fuzz=FuzzIntegratedAutocorrTime -fuzztime=10s ./internal/stats
+
 echo "==> profiling-harness smoke (scripts/bench.sh profile must drop loadable, non-empty profiles)"
 scripts/bench.sh profile 0.05s >/dev/null
 for p in BENCH_cpu.prof BENCH_mem.prof BENCH_mutex.prof; do
