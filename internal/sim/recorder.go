@@ -82,14 +82,14 @@ func (rr *ResponseRecorder) Quantile(c Class, q float64) float64 {
 
 // QuantileAll returns the q-quantile across all classes.
 func (rr *ResponseRecorder) QuantileAll(q float64) float64 {
-	return stats.SortedQuantile(mergeSorted(rr.sortedClasses()), q)
+	all, _ := rr.Quantiles([]float64{q})
+	return all[0]
 }
 
 // Quantiles returns each of the qs quantiles over all classes and, in
 // perClass[c], over class c (NaN for a class never observed), sorting each
 // class's samples once.
 func (rr *ResponseRecorder) Quantiles(qs []float64) (all []float64, perClass [][]float64) {
-	classes := rr.sortedClasses()
 	quantiles := func(sorted []float64) []float64 {
 		out := make([]float64, len(qs))
 		for i, q := range qs {
@@ -97,9 +97,11 @@ func (rr *ResponseRecorder) Quantiles(qs []float64) (all []float64, perClass [][
 		}
 		return out
 	}
-	perClass = make([][]float64, len(classes))
-	for c, s := range classes {
-		perClass[c] = quantiles(s)
+	classes := make([][]float64, len(rr.samples))
+	perClass = make([][]float64, len(rr.samples))
+	for c := range classes {
+		classes[c] = rr.sorted(Class(c))
+		perClass[c] = quantiles(classes[c])
 	}
 	return quantiles(mergeSorted(classes)), perClass
 }
@@ -115,24 +117,12 @@ func (rr *ResponseRecorder) sorted(c Class) []float64 {
 	return s
 }
 
-func (rr *ResponseRecorder) sortedClasses() [][]float64 {
-	classes := make([][]float64, len(rr.samples))
-	for c := range classes {
-		classes[c] = rr.sorted(Class(c))
-	}
-	return classes
-}
-
 // mergeSorted merges ascending slices in the order slices.Sort uses (NaN
 // first), so the result equals sorting their concatenation: ties are equal
 // values, and responses are never NaN or negative zero.
 func mergeSorted(parts [][]float64) []float64 {
 	var out []float64
 	for _, p := range parts {
-		if len(out) == 0 {
-			out = p
-			continue
-		}
 		merged := make([]float64, 0, len(out)+len(p))
 		i, j := 0, 0
 		for i < len(out) && j < len(p) {
