@@ -41,9 +41,9 @@ echo "==> go test -race ./... (internal/ctmc on its own, with a 30-minute timeou
 go test -race $(go list ./... | grep -v '/internal/ctmc$')
 go test -race -timeout 30m ./internal/ctmc
 
-echo "==> golden gate (rebuild reference bit-identical to the frozen pre-unification engine; the engine bit-identical to its own golden set)"
+echo "==> golden gate (rebuild reference bit-identical to the frozen pre-unification engine; the engine bit-identical to its own golden set; figure and series-statistics sweeps byte-identical)"
 go test ./internal/sim -run 'TestGolden' -count=1
-go test ./internal/exp -run 'TestGoldenFigure' -count=1
+go test ./internal/exp -run 'TestGoldenFigure|TestGoldenSeriesStats' -count=1
 
 echo "==> engine equivalence gate (engine vs rebuild reference on every fast path and the dense fallback: identical completion sequences, stats to 1e-9)"
 go test ./internal/sim -run 'TestEngineEquivalenceMatrix' -count=1
